@@ -415,17 +415,3 @@ def estimated_noise_rate(flags: np.ndarray) -> float:
     if flags.size == 0:
         raise ValueError("empty flag vector")
     return float(flags.mean())
-
-
-def write_scores_csv(scores: NoiseScores, noise_mask: np.ndarray, path) -> None:
-    import csv
-
-    mask = np.asarray(noise_mask, dtype=bool)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "method", "score", "flagged",
-                         "noise_mask"])
-        for i in range(len(scores)):
-            writer.writerow([int(scores.instance_ids[i]), scores.method,
-                             repr(float(scores.scores[i])),
-                             int(scores.flagged[i]), int(mask[i])])

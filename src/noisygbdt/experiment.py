@@ -62,7 +62,6 @@ class ExperimentConfig:
     subsample: int | None = None
     trials: int = 1
     jobs: int = 1
-    dump_scores: bool = False
 
     def validate(self) -> None:
         if not self.noise_kinds or not self.noise_rates:
@@ -211,6 +210,11 @@ def run_cell(cfg: ExperimentConfig, train_ds, test_ds, kind: str, rate: float,
 
     result = train(fit_ds, cfg.boost, handler, test=test_ds, monitor=monitor)
     report = result.report
+    # corrections act without the ground truth; their events learn it here
+    for ev in report.correction_events:
+        if ev["action"] in ("remove", "relabel"):
+            ev["was_actually_noisy"] = bool(
+                fit_ds.noise_mask[ev["instance_id"]])
     report.dataset = cfg.dataset
     report.noise_kind = kind
     report.noise_rate = rate

@@ -4,8 +4,8 @@ The trainer exposes everything the noise detectors consume: per-round logits,
 probabilities, predictions, and per-instance gradients are recorded into a
 DynamicsLog, and an optional per-round callback may zero instance weights or
 rewrite labels before that round's trees are fit. Split search is exact greedy
-over sorted unique values for small data and histogram-based for large data,
-behind the same interface.
+for small data (columns presorted once per run, all features of a node searched
+in one vectorised pass) and histogram-based for large data.
 """
 
 from __future__ import annotations
@@ -123,14 +123,15 @@ def grad_hess(probs: np.ndarray, labels: np.ndarray, objective: str,
     return g, h
 
 
-def split_gain(g_left: float, h_left: float, g_right: float, h_right: float,
-               l2_reg: float) -> float:
-    """Gain of splitting a node into (left, right) given summed grad/hess."""
-    g_total = g_left + g_right
-    h_total = h_left + h_right
-    return 0.5 * (g_left * g_left / (h_left + l2_reg)
-                  + g_right * g_right / (h_right + l2_reg)
-                  - g_total * g_total / (h_total + l2_reg))
+def _split_gains(gl: np.ndarray, hl: np.ndarray, g_total: float,
+                 h_total: float, lam: float) -> np.ndarray:
+    """Gain of each candidate split of a node from the summed gradients and
+    hessians left of it; the right side is the node total minus the left."""
+    grh = g_total - gl
+    hrh = h_total - hl
+    parent = g_total * g_total / (h_total + lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * (gl * gl / (hl + lam) + grh * grh / (hrh + lam) - parent)
 
 
 def leaf_value(g_sum: float, h_sum: float, l2_reg: float,
@@ -199,40 +200,51 @@ def _midpoint(lo: float, hi: float) -> float:
     return mid
 
 
-class _ExactSplitter:
-    """Exact greedy search over sorted unique feature values per node."""
+def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every column's stable argsort and its sorted values, both (d, n)."""
+    order = np.argsort(features, axis=0, kind="stable")
+    values = np.take_along_axis(features, order, axis=0)
+    return np.ascontiguousarray(order.T), np.ascontiguousarray(values.T)
 
-    def __init__(self, features: np.ndarray, config: BoostConfig):
+
+class _ExactSplitter:
+    """Exact greedy search over all features of a node at once.
+
+    ``presorted`` (from ``_presort``, built once per training run) filtered by
+    node membership gives the node's rows sorted in every column, in the order
+    of a stable per-node sort since ``rows`` is ascending. Cuts between tied
+    values get gain -inf; one row-major argmax keeps the first feature, then
+    the first position, of the best gain.
+    """
+
+    def __init__(self, features: np.ndarray, config: BoostConfig,
+                 presorted: tuple[np.ndarray, np.ndarray]):
         self.x = features
         self.lam = config.l2_reg
+        self.order, self.sorted_x = presorted
 
     def best_split(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray,
                    g_total: float, h_total: float):
-        lam = self.lam
-        parent = g_total * g_total / (h_total + lam)
-        best_gain = -np.inf
-        best = None
-        gr_ = g[rows]
-        hr_ = h[rows]
-        for j in range(self.x.shape[1]):
-            xv = self.x[rows, j]
-            order = np.argsort(xv, kind="stable")
-            xs = xv[order]
-            if xs[0] == xs[-1]:
-                continue
-            gl = np.cumsum(gr_[order])[:-1]
-            hl = np.cumsum(hr_[order])[:-1]
-            grh = g_total - gl
-            hrh = h_total - hl
-            gains = 0.5 * (gl * gl / (hl + lam) + grh * grh / (hrh + lam) - parent)
-            gains[xs[:-1] == xs[1:]] = -np.inf
+        d, m = self.order.shape[0], len(rows)
+        member = np.zeros(self.x.shape[0], dtype=bool)
+        member[rows] = True
+        keep = member[self.order]
+        idx = self.order[keep].reshape(d, m)
+        xs = self.sorted_x[keep].reshape(d, m)
+        gl = np.cumsum(g[idx], axis=1)[:, :-1]
+        hl = np.cumsum(h[idx], axis=1)[:, :-1]
+        gains = _split_gains(gl, hl, g_total, h_total, self.lam)
+        gains[xs[:, :-1] == xs[:, 1:]] = -np.inf
+        # argmax stops at the first NaN; a NaN gain is no candidate
+        k = int(np.argmax(gains))
+        if np.isnan(gains.flat[k]):
+            gains[np.isnan(gains)] = -np.inf
             k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                best = (j, _midpoint(float(xs[k]), float(xs[k + 1])))
-        if best is None:
+        j, pos = divmod(k, m - 1)
+        gain = float(gains[j, pos])
+        if gain == -np.inf:
             return -np.inf, None, None
-        return best_gain, best[0], best[1]
+        return gain, j, _midpoint(float(xs[j, pos]), float(xs[j, pos + 1]))
 
     def partition(self, rows: np.ndarray, feature: int, threshold: float):
         go_left = self.x[rows, feature] <= threshold
@@ -292,14 +304,9 @@ class _HistSplitter:
         gh, hh = hists
         if self.b.stride < 2:
             return -np.inf, None, None
-        lam = self.lam
         gl = np.cumsum(gh, axis=1)[:, :-1]
         hl = np.cumsum(hh, axis=1)[:, :-1]
-        grh = g_total - gl
-        hrh = h_total - hl
-        parent = g_total * g_total / (h_total + lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl * gl / (hl + lam) + grh * grh / (hrh + lam) - parent)
+        gains = _split_gains(gl, hl, g_total, h_total, self.lam)
         gains[~self.b.valid] = -np.inf
         gains[~np.isfinite(gains)] = -np.inf
         k = int(np.argmax(gains))
@@ -406,13 +413,15 @@ def _resolve_method(method: str, n_rows: int) -> str:
 
 
 def _fit_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray,
-              rows: np.ndarray, config: BoostConfig,
-              binner: Binner | None) -> Tree:
+              rows: np.ndarray, config: BoostConfig, index) -> Tree:
+    """``index`` is built once per training run: a Binner selects the
+    histogram splitter, a ``_presort`` result the exact one."""
     grower = _TreeGrower(config)
-    if binner is not None:
-        grower.grow_hist(_HistSplitter(binner, config), rows, g, h, 0)
+    if isinstance(index, Binner):
+        grower.grow_hist(_HistSplitter(index, config), rows, g, h, 0)
     else:
-        grower.grow_exact(_ExactSplitter(features, config), rows, g, h, 0)
+        grower.grow_exact(_ExactSplitter(features, config, index), rows, g, h,
+                          0)
     return grower.freeze()
 
 
@@ -433,9 +442,9 @@ def build_tree(features: np.ndarray, gradients: np.ndarray,
     g = np.asarray(gradients, dtype=np.float64) * weights
     h = np.asarray(hessians, dtype=np.float64) * weights
     method = _resolve_method(config.tree_method, rows.size)
-    binner = Binner(features, config.max_bins, fit_rows=rows) \
-        if method == "hist" else None
-    return _fit_tree(features, g, h, rows, config, binner)
+    index = (Binner(features, config.max_bins, fit_rows=rows)
+             if method == "hist" else _presort(features))
+    return _fit_tree(features, g, h, rows, config, index)
 
 
 # --------------------------------------------------------------------------
@@ -687,10 +696,10 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
                             config.early_stop_patience)
                if monitor_data is not None else None)
 
-    method = _resolve_method(config.tree_method, int((weights > 0).sum()))
-    binner = (Binner(features, config.max_bins,
-                     fit_rows=np.flatnonzero(weights > 0))
-              if method == "hist" else None)
+    fit_rows = np.flatnonzero(weights > 0)
+    method = _resolve_method(config.tree_method, fit_rows.size)
+    index = (Binner(features, config.max_bins, fit_rows=fit_rows)
+             if method == "hist" else _presort(features))
 
     ensemble = Ensemble(objective=objective, class_count=c,
                         feature_count=features.shape[1])
@@ -752,7 +761,7 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
             if objective == "logistic":
                 gw = g * weights
                 hw = h * weights
-                tree = _fit_tree(features, gw, hw, rows, config, binner)
+                tree = _fit_tree(features, gw, hw, rows, config, index)
                 trees.append(tree)
                 raw += tree.predict(features)
                 if raw_test is not None:
@@ -763,7 +772,7 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
                 for k in range(c):
                     gw = g[:, k] * weights
                     hw = h[:, k] * weights
-                    tree = _fit_tree(features, gw, hw, rows, config, binner)
+                    tree = _fit_tree(features, gw, hw, rows, config, index)
                     trees.append(tree)
                     raw[:, k] += tree.predict(features)
                     if raw_test is not None:

@@ -12,7 +12,7 @@ from noisygbdt.detect import (ALL_METHODS, FixedPolicy, GmmPolicy,
                               detection_metrics, estimated_noise_rate,
                               fit_gmm_1d, gmm_decision_threshold,
                               gradient_scores, lrt_scores, parse_policy,
-                              score_all, threshold, write_scores_csv)
+                              score_all, threshold)
 from noisygbdt.dynamics import DynamicsLog, EpochRecord
 from noisygbdt.gbdt import BoostConfig, train
 
@@ -328,13 +328,3 @@ class TestCleanSeparableNoFalseAlarms:
         for method, s in scored.items():
             acc = detection_metrics(s.flagged, ds.noise_mask).accuracy
             assert acc >= 0.999, f"{method} false alarms on clean data"
-
-
-def test_scores_csv_dump(tmp_path):
-    s = lrt_scores(np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([0, 0]),
-                   ids(2))
-    path = tmp_path / "scores.csv"
-    write_scores_csv(s, np.array([False, True]), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "instance_id,method,score,flagged,noise_mask"
-    assert len(lines) == 3

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from noisygbdt import noise
 from noisygbdt.data_ingest import SplitSpec
 from noisygbdt.experiment import (ExperimentConfig, ExperimentError,
                                   config_from_dict, derive_seed, load_config,
@@ -147,6 +149,28 @@ class TestStages:
         r1 = {(r.detection, r.correction): r.final for r in run_stage2(cfg1)}
         r2 = {(r.detection, r.correction): r.final for r in run_stage2(cfg2)}
         assert r1 == r2
+
+    def test_corrections_csv_marks_truly_noisy_instances(self, tmp_path):
+        cfg = tiny_config(tmp_path, noise_rates=(0.3,),
+                          detectors=("gradients",),
+                          corrections=("remove", "relabel"))
+        reports = run_stage2(cfg)
+        train_ds, _ = prepare_data(cfg, cfg.seed)
+        noise_seed = reports[0].config["noise_seed"]
+        matrix = noise.matrix_for(noise.NoiseSpec(kind="pair", rate=0.3,
+                                                  seed=noise_seed),
+                                  train_ds.class_count)
+        noisy, _ = noise.inject(train_ds.clean_labels, matrix, noise_seed)
+        mask = noisy != train_ds.clean_labels
+        root = tmp_path / "runs" / "stage2" / cfg.dataset / "pair_0.30"
+        for cell in ("remove_gradients", "relabel_gradients"):
+            with open(root / cell / "corrections.csv", newline="") as fh:
+                events = [row for row in csv.DictReader(fh)
+                          if row["action"] in ("remove", "relabel")]
+            assert events, cell
+            for row in events:
+                expected = bool(mask[int(row["instance_id"])])
+                assert row["was_actually_noisy"] == str(expected), cell
 
     def test_trials_produce_distinct_runs_and_std(self, tmp_path):
         cfg = tiny_config(tmp_path, noise_rates=(0.3,), trials=2,

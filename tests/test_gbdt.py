@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import blob_dataset, make_dataset, threshold_dataset
 from noisygbdt import noise
+from noisygbdt.experiment import ExperimentConfig, prepare_data
 from noisygbdt.gbdt import (BoostConfig, EarlyStopper, Ensemble, RoundAction,
-                            TrainingDivergedError, Tree, build_tree,
+                            TrainingDivergedError, Tree, _ExactSplitter,
+                            _midpoint, _presort, _split_gains, build_tree,
                             grad_hess, leaf_value, load_model, predict,
-                            probabilities, save_model, split_gain, train)
+                            probabilities, save_model, train)
 
 
 class TestProbabilities:
@@ -87,7 +89,9 @@ class TestGradHess:
 
 class TestSplitMath:
     def test_gain_formula(self):
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 1.0) == pytest.approx(2.0)
+        # left (g, h) = (-2, 1), right (2, 1), lambda 1
+        gains = _split_gains(np.array([-2.0]), np.array([1.0]), 0.0, 2.0, 1.0)
+        assert gains[0] == pytest.approx(2.0)
 
     def test_leaf_value_formula(self):
         assert leaf_value(-1.0, 1.0, 1.0, 0.3) == pytest.approx(0.15)
@@ -145,6 +149,114 @@ class TestBuildTree:
         t_d = build_tree(x[keep], g[keep], h[keep], np.ones(keep.sum()),
                          BoostConfig(tree_method="exact"))
         assert t_w.to_dict() == t_d.to_dict()
+
+
+def _reference_best_split(self, rows, g, h, g_total, h_total):
+    """The exact split search as a per-feature loop with a per-node stable
+    sort: the oracle for the presorted, all-features search."""
+    lam = self.lam
+    parent = g_total * g_total / (h_total + lam)
+    best_gain = -np.inf
+    best = None
+    gr_ = g[rows]
+    hr_ = h[rows]
+    for j in range(self.x.shape[1]):
+        xv = self.x[rows, j]
+        order = np.argsort(xv, kind="stable")
+        xs = xv[order]
+        if xs[0] == xs[-1]:
+            continue
+        gl = np.cumsum(gr_[order])[:-1]
+        hl = np.cumsum(hr_[order])[:-1]
+        grh = g_total - gl
+        hrh = h_total - hl
+        gains = 0.5 * (gl * gl / (hl + lam) + grh * grh / (hrh + lam) - parent)
+        gains[xs[:-1] == xs[1:]] = -np.inf
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = (j, _midpoint(float(xs[k]), float(xs[k + 1])))
+    if best is None:
+        return -np.inf, None, None
+    return best_gain, best[0], best[1]
+
+
+class TestExactSplitterOracle:
+    @staticmethod
+    def _case(seed):
+        """Random node: tie-heavy integer or continuous columns, some constant,
+        some zero-weight rows, a row subset down to two rows, 1-6 features."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        d = int(rng.integers(1, 7))
+        if rng.random() < 0.5:
+            x = rng.integers(0, int(rng.integers(1, 5)), size=(n, d)) * 1.0
+        else:
+            x = rng.normal(size=(n, d))
+        x[:, rng.random(d) < 0.2] = 3.0
+        w = np.where(rng.random(n) < 0.2, 0.0, 1.0)
+        g = rng.normal(size=n) * w
+        h = (np.abs(rng.normal(size=n)) + 0.05) * w
+        m = int(rng.integers(2, n + 1))
+        rows = np.sort(rng.choice(n, size=m, replace=False))
+        return x, g, h, rows
+
+    def test_matches_per_feature_loop(self):
+        splits = 0
+        for seed in range(300):
+            x, g, h, rows = self._case(seed)
+            # l2_reg 0 only without zero hessians: 0/0 gains are tested apart
+            lam = (0.0, 1.0)[seed % 2] if h[rows].min() > 0 else 1.0
+            splitter = _ExactSplitter(x, BoostConfig(l2_reg=lam), _presort(x))
+            g_total, h_total = float(g[rows].sum()), float(h[rows].sum())
+            got = splitter.best_split(rows, g, h, g_total, h_total)
+            assert got == _reference_best_split(splitter, rows, g, h,
+                                                g_total, h_total), seed
+            splits += got[1] is not None
+        assert 100 < splits < 300   # both outcomes are exercised
+
+    def test_edge_cases_match(self):
+        cfg = BoostConfig()
+        cases = [
+            # two rows, distinct and tied
+            (np.array([[1.0], [2.0], [0.0]]), np.array([0, 1])),
+            (np.array([[1.0], [1.0], [0.0]]), np.array([0, 1])),
+            # constant columns only: no split
+            (np.full((5, 3), 2.0), np.arange(5)),
+            # a constant column ahead of a tied integer column
+            (np.column_stack([np.zeros(6), [0, 0, 1, 1, 1, 2.0]]),
+             np.arange(6)),
+        ]
+        for x, rows in cases:
+            g = np.linspace(-1.0, 1.0, len(x))
+            h = np.ones(len(x))
+            splitter = _ExactSplitter(x, cfg, _presort(x))
+            g_total, h_total = float(g[rows].sum()), float(h[rows].sum())
+            assert splitter.best_split(rows, g, h, g_total, h_total) == \
+                _reference_best_split(splitter, rows, g, h, g_total, h_total)
+
+    def test_nan_gain_is_no_candidate(self):
+        # a zero hessian with l2_reg 0 makes a 0/0 gain; the other cuts count
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        g = np.array([0.0, -1.0, 1.0, 1.0])
+        h = np.array([0.0, 1.0, 1.0, 1.0])
+        splitter = _ExactSplitter(x, BoostConfig(l2_reg=0.0), _presort(x))
+        gain, feature, threshold = splitter.best_split(np.arange(4), g, h,
+                                                       1.0, 3.0)
+        assert (feature, threshold) == (0, 1.5)
+        assert gain == pytest.approx(4.0 / 3.0)
+
+    def test_breast_cancer_model_matches(self, monkeypatch):
+        train_ds, _ = prepare_data(ExperimentConfig(dataset="breast_cancer"),
+                                   7)
+        noisy, _ = noise.inject(train_ds.clean_labels,
+                                noise.pair_matrix(2, 0.3), seed=7)
+        ds = train_ds.with_noise(noisy)
+        cfg = BoostConfig(n_rounds=12, tree_method="exact")
+        new = train(ds, cfg).ensemble.to_dict()
+        monkeypatch.setattr(_ExactSplitter, "best_split",
+                            _reference_best_split)
+        assert train(ds, cfg).ensemble.to_dict() == new
 
 
 class TestEarlyStopper:
