@@ -3,7 +3,8 @@
 Removal zeroes the instance weight (the instance keeps its id and dynamics
 rows) under a cumulative budget measured against the original training size.
 Relabeling reassigns a flagged instance to the class with the highest
-window-averaged probability, at most once per instance.
+window-averaged probability, at most once per instance. Both act on detector
+flags alone: nothing here knows which labels are truly noisy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detect
-from .gbdt import RoundAction
 
 MODES = ("none", "remove", "relabel")
 
@@ -141,8 +141,12 @@ class NoiseHandler:
     """Per-round training callback combining detection and correction.
 
     One detector drives the correction; any further detectors listed are
-    scored for reporting only. With mode "none" the callback never touches
-    labels or weights, so training output matches an uncorrected run.
+    scored for reporting only. Every round's flags are kept in
+    ``flag_rounds`` and every correction in ``events``; the handler never sees
+    which labels are truly noisy, so scoring both against the injected noise
+    is left to the caller (``detect.detection_report``). With mode "none" the
+    callback never touches labels or weights, so training output matches an
+    uncorrected run.
     """
 
     def __init__(self, detectors=detect.ALL_METHODS, mode: str = "none",
@@ -157,10 +161,15 @@ class NoiseHandler:
         self.removal_budget = removal_budget
         self.policy_override = policy_override
         self.state: CorrectionState | None = None
-        self._events_seen = 0
+        self.flag_rounds: list[tuple[int, dict]] = []
+
+    @property
+    def events(self) -> list:
+        return [] if self.state is None else self.state.events
 
     def __call__(self, round_index, dynamics, labels, weights,
-                 instance_ids) -> RoundAction:
+                 instance_ids) -> bool:
+        """Flag and correct one round; returns whether any label changed."""
         if self.state is None:
             self.state = CorrectionState(mode=self.mode, labels=labels,
                                          weights=weights,
@@ -170,30 +179,21 @@ class NoiseHandler:
         if self.policy_override is not None:
             for s in scored.values():
                 s.flagged = detect.threshold(s, self.policy_override)
-        action = RoundAction(
-            flags={m: s.flagged.copy() for m, s in scored.items()},
-            scores={m: s.scores.copy() for m, s in scored.items()},
-        )
+        self.flag_rounds.append(
+            (round_index, {m: s.flagged for m, s in scored.items()}))
         if self.mode == "none":
-            return action
+            return False
         primary = scored[self.detectors[0]]
         flagged_rows = np.flatnonzero(primary.flagged)
         if self.mode == "remove":
-            before = self.state.removed_count
             apply_removal(self.state, flagged_rows,
                           noisiness=primary.noisiness(),
                           round_index=round_index)
-            action.weights_changed = self.state.removed_count != before
-        else:
-            before = self.state.relabeled_count
-            changed_labels = labels[flagged_rows].copy()
-            apply_relabel(self.state, flagged_rows, dynamics.window_probs(),
-                          round_index=round_index)
-            action.labels_changed = bool(
-                (labels[flagged_rows] != changed_labels).any())
-        action.events = self.state.events[self._events_seen:]
-        self._events_seen = len(self.state.events)
-        return action
+            return False
+        old_labels = labels[flagged_rows].copy()
+        apply_relabel(self.state, flagged_rows, dynamics.window_probs(),
+                      round_index=round_index)
+        return bool((labels[flagged_rows] != old_labels).any())
 
     def summary(self) -> dict:
         if self.state is None:

@@ -11,15 +11,12 @@ partition never leaks into them.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_MISSING_MARKERS = ("", "?")
-
-CACHE_FORMAT_VERSION = 1
 
 
 class DataIngestError(ValueError):
@@ -396,60 +393,3 @@ def subsample_table(table: RawTable, label_column: str, n: int,
     columns = [Column(name=c.name, kind=c.kind, values=c.values[rows])
                for c in table.columns]
     return RawTable(columns=columns, n_rows=len(rows))
-
-
-def stratified_subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
-    """Stratified row subsample of size ~n preserving class proportions."""
-    total = len(dataset)
-    if n >= total:
-        return dataset
-    rng = np.random.default_rng(seed)
-    keep: list[np.ndarray] = []
-    for cls in range(dataset.class_count):
-        idx = np.flatnonzero(dataset.clean_labels == cls)
-        k = max(1, int(round(n * len(idx) / total)))
-        keep.append(rng.permutation(idx)[:k])
-    rows = np.sort(np.concatenate(keep))
-    return dataset.take(rows)
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """Columnar binary cache with a version header for fast reload."""
-    header = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "class_count": dataset.class_count,
-        "feature_names": dataset.feature_names,
-        "label_names": dataset.label_names,
-        "notes": dataset.notes,
-    }
-    np.savez_compressed(
-        path,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        features=dataset.features,
-        clean_labels=dataset.clean_labels,
-        noisy_labels=dataset.noisy_labels,
-        noise_mask=dataset.noise_mask,
-        instance_ids=dataset.instance_ids,
-    )
-
-
-def load_dataset(path) -> Dataset:
-    with np.load(path) as blob:
-        header = json.loads(bytes(blob["header"]).decode())
-        if header.get("format_version") != CACHE_FORMAT_VERSION:
-            raise DataIngestError(
-                f"cache format version {header.get('format_version')} unsupported "
-                f"(expected {CACHE_FORMAT_VERSION})")
-        ds = Dataset(
-            features=blob["features"],
-            clean_labels=blob["clean_labels"],
-            noisy_labels=blob["noisy_labels"],
-            noise_mask=blob["noise_mask"],
-            class_count=int(header["class_count"]),
-            instance_ids=blob["instance_ids"],
-            feature_names=list(header["feature_names"]),
-            label_names=list(header["label_names"]),
-            notes=list(header.get("notes", [])),
-        )
-    ds.validate()
-    return ds

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,18 +46,6 @@ DEFAULT_LRT_EPSILON = 1.0
 DEFAULT_AUM_THRESHOLD = 0.0
 
 
-@dataclass(frozen=True)
-class NoiseScore:
-    """Single-instance view of a detector output."""
-
-    instance_id: int
-    method: str
-    score: float
-    flagged_noisy: bool
-    threshold_used: float
-    polarity: str
-
-
 @dataclass
 class NoiseScores:
     """Columnar detector output for a whole training set."""
@@ -72,17 +60,6 @@ class NoiseScores:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __getitem__(self, i: int) -> NoiseScore:
-        return NoiseScore(instance_id=int(self.instance_ids[i]),
-                          method=self.method,
-                          score=float(self.scores[i]),
-                          flagged_noisy=bool(self.flagged[i]),
-                          threshold_used=self.threshold_used,
-                          polarity=self.polarity)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def noisiness(self) -> np.ndarray:
         """Scores oriented so that larger always means more suspicious."""
@@ -101,6 +78,9 @@ class DetectionMetrics:
     accuracy: float
     precision: float
     recall: float
+    flagged_fraction: float
+    flagged_count: int
+    flagged_noisy_count: int
 
 
 # --------------------------------------------------------------------------
@@ -407,7 +387,52 @@ def detection_metrics(flags: np.ndarray, noise_mask: np.ndarray) -> DetectionMet
         accuracy=float((flags == mask).mean()),
         precision=tp / (tp + fp) if tp + fp else 0.0,
         recall=tp / (tp + fn) if tp + fn else 0.0,
+        flagged_fraction=float(flags.mean()),
+        flagged_count=int(flags.sum()),
+        flagged_noisy_count=tp,
     )
+
+
+def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
+                     best_round: int) -> tuple[dict, dict, list]:
+    """Score a run's detector flags and correction events against the
+    ground-truth noise mask.
+
+    ``flag_rounds`` holds one (round, {method: flags}) pair per detection
+    round, in ascending round order (``NoiseHandler.flag_rounds``). Returns
+    the per-round series of every method, the evaluation at the first
+    detection round and at the early-stopped round, and the events with
+    ``was_actually_noisy`` added to each removal and relabel. Early stopping
+    before the first detection round is evaluated at that round; at a round
+    without detection, the next detection round is used, or the last one when
+    none follows.
+    """
+    series: dict[str, dict] = {}
+    for round_index, flags in flag_rounds:
+        for method, fl in flags.items():
+            entry = series.setdefault(method, {"round": []})
+            entry["round"].append(round_index)
+            for key, value in asdict(detection_metrics(fl, noise_mask)).items():
+                entry.setdefault(key, []).append(value)
+    evaluation = {}
+    if series:
+        first = flag_rounds[0][0]
+        for point, round_index in (("first_after_warmup", first),
+                                   ("early_stop", max(best_round, first))):
+            methods = {}
+            for method, entry in series.items():
+                rounds = entry["round"]
+                i = next((i for i, r in enumerate(rounds) if r >= round_index),
+                         len(rounds) - 1)
+                methods[method] = {key: entry[key][i]
+                                   for key in ("accuracy", "precision",
+                                               "recall", "flagged_fraction")}
+                methods[method]["round"] = rounds[i]
+            evaluation[point] = {"round": round_index, "methods": methods}
+    events = [ev | {"was_actually_noisy": bool(noise_mask[ev["instance_id"]])}
+              if ev["action"] in ("remove", "relabel") else ev
+              for ev in events]
+    return series, evaluation, events
 
 
 def estimated_noise_rate(flags: np.ndarray) -> float:

@@ -80,10 +80,6 @@ class DynamicsLog:
         """(w, n) per-round max-abs gradients of the retained rounds."""
         return np.stack([r.max_abs_gradient for r in self.window])
 
-    def window_mean_probs(self) -> np.ndarray:
-        """(n, c) probabilities averaged over the retained window."""
-        return self.window_probs().mean(axis=0)
-
     def confidence(self) -> np.ndarray:
         """Mean probability assigned to the instance's label across all rounds."""
         self._require_rounds()

@@ -208,13 +208,14 @@ def run_cell(cfg: ExperimentConfig, train_ds, test_ds, kind: str, rate: float,
                                removal_budget=cfg.removal_budget,
                                policy_override=cfg.threshold_policy)
 
-    result = train(fit_ds, cfg.boost, handler, test=test_ds, monitor=monitor)
-    report = result.report
-    # corrections act without the ground truth; their events learn it here
-    for ev in report.correction_events:
-        if ev["action"] in ("remove", "relabel"):
-            ev["was_actually_noisy"] = bool(
-                fit_ds.noise_mask[ev["instance_id"]])
+    report = train(fit_ds, cfg.boost, handler, test=test_ds,
+                   monitor=monitor).report
+    # training and correction act without the ground truth; it is used here
+    report.empirical_noise_rate = float(fit_ds.noise_mask.mean())
+    (report.detector_series, report.evaluation,
+     report.correction_events) = detect.detection_report(
+        handler.flag_rounds, handler.events, fit_ds.noise_mask,
+        report.best_round)
     report.dataset = cfg.dataset
     report.noise_kind = kind
     report.noise_rate = rate
@@ -325,9 +326,11 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
     """Aggregate stage-2 reports into detection and classification tables.
 
     Detection accuracy is tabulated per (rate, detector) at the early-stopped
-    epoch, taking the best value over the correction modes of that detector;
-    classification metrics are tabulated per (correction, detector) at the
-    comparison rate. Only rates between 10% and 40% enter the aggregation.
+    epoch: the best value over the correction modes of that detector within
+    each trial, then the mean (and, with several trials, the std) over
+    trials. Classification metrics are tabulated per (correction, detector)
+    at the comparison rate, as the mean and std over trials. Only rates
+    between 10% and 40% enter the aggregation.
     """
     cfg.validate()
     reports = _collect_stage2_reports(cfg)
@@ -341,23 +344,21 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
             cells = [r for r in reports
                      if abs(r.noise_rate - rate) < 1e-9
                      and r.detection == detector]
-            values = []
+            best_per_trial: dict[int, float] = {}
             for r in cells:
-                point = r.evaluation.get("early_stop", {})
-                methods = point.get("methods", {})
+                methods = r.evaluation.get("early_stop", {}).get("methods", {})
                 if detector in methods:
-                    values.append(100.0 * methods[detector]["accuracy"])
-            if not values:
+                    value = 100.0 * methods[detector]["accuracy"]
+                    best_per_trial[r.seed] = max(
+                        value, best_per_trial.get(r.seed, value))
+            if not best_per_trial:
                 continue
-            mean, std = _aggregate([max(values)] if cfg.trials == 1
-                                   else values)
+            mean, std = _aggregate(list(best_per_trial.values()))
             row = {"dataset": cfg.dataset, "noise_kind": kind, "rate": rate,
                    "detection": detector, "correction": "best",
-                   "metric": "detection_accuracy",
-                   "value": round(max(values), 2),
+                   "metric": "detection_accuracy", "value": round(mean, 2),
                    "evaluated_at": "early_stop", "note": note, "is_best": ""}
             if cfg.trials > 1:
-                row["value"] = round(mean, 2)
                 row["note"] = (note + f" std={std:.2f}").strip()
             detection_rows.append(row)
     _mark_best(detection_rows, ("rate",))

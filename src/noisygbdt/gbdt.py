@@ -3,14 +3,19 @@
 The trainer exposes everything the noise detectors consume: per-round logits,
 probabilities, predictions, and per-instance gradients are recorded into a
 DynamicsLog, and an optional per-round callback may zero instance weights or
-rewrite labels before that round's trees are fit. Split search is exact greedy
-for small data (columns presorted once per run, all features of a node searched
-in one vectorised pass) and histogram-based for large data.
+rewrite labels before that round's trees are fit; it returns whether it
+changed any label. Training and the callback use the noisy labels alone (the
+clean training labels only feed the report's prediction-type counts), and the
+trainer does not score detector flags: the experiment layer does that against
+the injected noise (``detect.detection_report``).
+
+Split search is exact greedy for small data (columns presorted once per run,
+all features of a node searched in one vectorised pass) and histogram-based
+for large data.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -51,6 +56,8 @@ class BoostConfig:
     def validate(self, *, with_callback: bool = False) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.l2_reg <= 0:
+            raise ValueError("l2_reg must be positive")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be at least 1")
         if self.n_rounds < 1:
@@ -433,9 +440,12 @@ def build_tree(features: np.ndarray, gradients: np.ndarray,
     Zero-weight instances are excluded from the split search and leaf fitting
     entirely, so the result is identical to physically deleting them.
     """
+    config.validate()
     weights = np.asarray(weights, dtype=np.float64)
     if (weights < 0).any():
         raise ValueError("weights must be non-negative")
+    if (np.asarray(hessians) < 0).any():
+        raise ValueError("hessians must be non-negative")
     rows = np.flatnonzero(weights > 0)
     if rows.size == 0:
         raise ValueError("all instance weights are zero")
@@ -576,18 +586,6 @@ class EarlyStopper:
 # --------------------------------------------------------------------------
 
 @dataclass
-class RoundAction:
-    """What a correction callback did in one round: per-method flags/scores for
-    reporting plus whether labels or weights changed."""
-
-    flags: dict = field(default_factory=dict)    # method -> bool (n,)
-    scores: dict = field(default_factory=dict)   # method -> float (n,)
-    labels_changed: bool = False
-    weights_changed: bool = False
-    events: list = field(default_factory=list)
-
-
-@dataclass
 class TrainResult:
     ensemble: Ensemble
     dynamics: DynamicsLog
@@ -618,54 +616,23 @@ def _weighted_accuracy(predicted, labels, weights) -> float:
     return float(((predicted == labels) * weights).sum() / total)
 
 
-def _detection_counts(flags: np.ndarray, mask: np.ndarray) -> dict:
-    flags = np.asarray(flags, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    agree = flags == mask
-    tp = int((flags & mask).sum())
-    fp = int((flags & ~mask).sum())
-    fn = int((~flags & mask).sum())
-    return {
-        "accuracy": float(agree.mean()),
-        "precision": tp / (tp + fp) if tp + fp else 0.0,
-        "recall": tp / (tp + fn) if tp + fn else 0.0,
-        "flagged_count": int(flags.sum()),
-        "flagged_noisy_count": tp,
-        "flagged_fraction": float(flags.mean()),
-    }
-
-
-class _RoundCsvLogger:
-    def __init__(self, path):
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(["round", "train_logloss", "monitor_logloss",
-                               "train_accuracy", "test_accuracy"])
-
-    def log(self, t, train_logloss, monitor_logloss, train_accuracy,
-            test_accuracy):
-        self._writer.writerow([
-            t, repr(train_logloss),
-            "" if monitor_logloss is None else repr(monitor_logloss),
-            repr(train_accuracy),
-            "" if test_accuracy is None else repr(test_accuracy)])
-        self._fh.flush()
-
-    def close(self):
-        self._fh.close()
-
-
 def train(dataset: Dataset, config: BoostConfig, callback=None, *,
           test: Dataset | None = None, monitor=None,
-          initial_weights: np.ndarray | None = None,
-          metrics_csv=None) -> TrainResult:
+          initial_weights: np.ndarray | None = None) -> TrainResult:
     """Boost for up to ``config.n_rounds`` rounds.
 
-    Per round: compute probabilities and gradients against the current labels
-    and weights, invoke the correction callback once the warm-up has passed
-    (it may zero weights or rewrite labels, taking effect in this round's tree
-    fit), fit one tree per class, then record the post-update state in the
-    DynamicsLog and evaluate the round.
+    Per round: invoke the correction callback once the warm-up has passed,
+    fit one tree per class to the gradients of the current labels and
+    weights, then record the post-update state in the DynamicsLog and
+    evaluate the round. The post-update probabilities and gradients are the
+    next round's inputs.
+
+    ``callback(round, dynamics, labels, weights, instance_ids)`` may zero
+    entries of ``weights`` or rewrite ``labels`` in place; both take effect in
+    that round's tree fit. It returns whether it changed any label, and the
+    trainer then recomputes the gradients. The trainer never sees the noise
+    mask: scoring the callback's flags and corrections against the injected
+    noise is left to the caller (``experiment.run_cell``).
 
     ``monitor`` selects early stopping: None disables it, "test" monitors the
     summed log-loss on the clean test set, and an (features, labels) pair
@@ -676,6 +643,7 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
     n = len(dataset)
     c = dataset.class_count
     objective = resolve_objective(config.objective, c)
+    width = 1 if objective == "logistic" else c
     features = dataset.features
     if not np.isfinite(features).all():
         raise ValueError("features must be finite")
@@ -686,205 +654,130 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
     if weights.shape != (n,):
         raise ValueError("initial_weights must have one entry per instance")
 
+    ensemble = Ensemble(objective=objective, class_count=c,
+                        feature_count=features.shape[1])
+
+    def start_scores(m: int) -> np.ndarray:
+        return np.full((m,) if width == 1 else (m, c), ensemble.base_score)
+
+    # every (features, raw scores) pair gains each tree's predictions
+    raw = start_scores(n)
+    tracked = [(features, raw)]
+    raw_test = raw_mon = None
+    if test is not None:
+        raw_test = start_scores(len(test))
+        tracked.append((test.features, raw_test))
     if monitor == "test":
+        # the monitored loss is read off the test scores
         if test is None:
             raise ValueError('monitor="test" requires a test dataset')
-        monitor_data = (test.features, test.clean_labels)
-    else:
-        monitor_data = monitor
+        mon_labels = test.clean_labels
+    elif monitor is not None:
+        mon_features, mon_labels = monitor
+        raw_mon = start_scores(len(mon_labels))
+        tracked.append((mon_features, raw_mon))
     stopper = (EarlyStopper(config.early_stop_min_delta,
                             config.early_stop_patience)
-               if monitor_data is not None else None)
+               if monitor is not None else None)
 
     fit_rows = np.flatnonzero(weights > 0)
     method = _resolve_method(config.tree_method, fit_rows.size)
     index = (Binner(features, config.max_bins, fit_rows=fit_rows)
              if method == "hist" else _presort(features))
 
-    ensemble = Ensemble(objective=objective, class_count=c,
-                        feature_count=features.shape[1])
-    if objective == "logistic":
-        raw = np.full(n, ensemble.base_score)
-        raw_test = np.full(len(test), ensemble.base_score) if test is not None else None
-        raw_mon = (np.full(len(monitor_data[1]), ensemble.base_score)
-                   if monitor_data is not None else None)
-    else:
-        raw = np.full((n, c), ensemble.base_score)
-        raw_test = (np.full((len(test), c), ensemble.base_score)
-                    if test is not None else None)
-        raw_mon = (np.full((len(monitor_data[1]), c), ensemble.base_score)
-                   if monitor_data is not None else None)
-
     dyn = DynamicsLog(n, c, config.history_window)
     series = {k: [] for k in ("train_logloss", "monitor_logloss",
                               "test_logloss", "train_accuracy",
                               "test_accuracy")}
     pred_types = {"true_match": [], "noisy_match": [], "other": []}
-    has_noise = bool(dataset.noise_mask.any())
-    detector_series: dict[str, dict] = {}
-    all_events: list[dict] = []
-    logger = _RoundCsvLogger(metrics_csv) if metrics_csv else None
-    first_detection_round = None
+    has_noise = bool((dataset.clean_labels != dataset.noisy_labels).any())
     stopped_early = False
     rounds_trained = 0
 
-    try:
-        for t in range(config.n_rounds):
-            probs = probabilities(raw, objective)
-            g, h = grad_hess(probs, labels, objective, config.hessian_floor)
+    probs = probabilities(raw, objective)
+    g, h = grad_hess(probs, labels, objective, config.hessian_floor)
+    for t in range(config.n_rounds):
+        if callback is not None and t >= config.warmup_rounds:
+            if callback(t, dyn, labels, weights, dataset.instance_ids):
+                g, h = grad_hess(probs, labels, objective,
+                                 config.hessian_floor)
 
-            if callback is not None and t >= config.warmup_rounds:
-                if first_detection_round is None:
-                    first_detection_round = t
-                action = callback(t, dyn, labels, weights, dataset.instance_ids)
-                if action is not None:
-                    for m, fl in action.flags.items():
-                        entry = detector_series.setdefault(
-                            m, {"round": [], "accuracy": [], "precision": [],
-                                "recall": [], "flagged_fraction": [],
-                                "flagged_count": [], "flagged_noisy_count": []})
-                        counts = _detection_counts(fl, dataset.noise_mask)
-                        entry["round"].append(t)
-                        for key in ("accuracy", "precision", "recall",
-                                    "flagged_fraction", "flagged_count",
-                                    "flagged_noisy_count"):
-                            entry[key].append(counts[key])
-                    all_events.extend(action.events)
-                    if action.labels_changed:
-                        g, h = grad_hess(probs, labels, objective,
-                                         config.hessian_floor)
+        rows = np.flatnonzero(weights > 0)
+        if rows.size == 0:
+            raise TrainingDivergedError("every instance weight is zero")
+        trees = []
+        g_cols, h_cols = g.reshape(-1, width), h.reshape(-1, width)
+        for k in range(width):
+            tree = _fit_tree(features, g_cols[:, k] * weights,
+                             h_cols[:, k] * weights, rows, config, index)
+            trees.append(tree)
+            for x, scores in tracked:
+                scores.reshape(-1, width)[:, k] += tree.predict(x)
+        ensemble.rounds.append(trees)
+        rounds_trained = t + 1
 
-            rows = np.flatnonzero(weights > 0)
-            if rows.size == 0:
-                raise TrainingDivergedError("every instance weight is zero")
-            trees = []
-            if objective == "logistic":
-                gw = g * weights
-                hw = h * weights
-                tree = _fit_tree(features, gw, hw, rows, config, index)
-                trees.append(tree)
-                raw += tree.predict(features)
-                if raw_test is not None:
-                    raw_test += tree.predict(test.features)
-                if raw_mon is not None:
-                    raw_mon += tree.predict(monitor_data[0])
-            else:
-                for k in range(c):
-                    gw = g[:, k] * weights
-                    hw = h[:, k] * weights
-                    tree = _fit_tree(features, gw, hw, rows, config, index)
-                    trees.append(tree)
-                    raw[:, k] += tree.predict(features)
-                    if raw_test is not None:
-                        raw_test[:, k] += tree.predict(test.features)
-                    if raw_mon is not None:
-                        raw_mon[:, k] += tree.predict(monitor_data[0])
-            ensemble.rounds.append(trees)
-            rounds_trained = t + 1
+        probs = probabilities(raw, objective)
+        g, h = grad_hess(probs, labels, objective, config.hessian_floor)
+        predicted = probs.argmax(axis=1)
+        dyn.record(EpochRecord(round=t,
+                               logits=(expand_logits(raw, objective)
+                                       if width == 1 else raw.copy()),
+                               probs=probs,
+                               predicted=predicted,
+                               max_abs_gradient=(np.abs(g) if width == 1
+                                                 else np.abs(g).max(axis=1))),
+                   labels)
 
-            post_probs = probabilities(raw, objective)
-            post_g, _ = grad_hess(post_probs, labels, objective,
-                                  config.hessian_floor)
-            max_abs_g = (np.abs(post_g) if post_g.ndim == 1
-                         else np.abs(post_g).max(axis=1))
-            predicted = post_probs.argmax(axis=1)
-            dyn.record(EpochRecord(round=t,
-                                   logits=(expand_logits(raw, objective)
-                                           if objective == "logistic"
-                                           else raw.copy()),
-                                   probs=post_probs,
-                                   predicted=predicted,
-                                   max_abs_gradient=max_abs_g),
-                       labels)
+        train_loss = _weighted_mean_logloss(probs, labels, weights)
+        if not np.isfinite(train_loss):
+            raise TrainingDivergedError(
+                f"round {t}: training loss became non-finite")
+        series["train_logloss"].append(train_loss)
+        series["train_accuracy"].append(
+            _weighted_accuracy(predicted, labels, weights))
 
-            train_loss = _weighted_mean_logloss(post_probs, labels, weights)
-            if not np.isfinite(train_loss):
+        if test is not None:
+            test_probs = probabilities(raw_test, objective)
+            series["test_logloss"].append(float(
+                _logloss_terms(test_probs, test.clean_labels).mean()))
+            series["test_accuracy"].append(float(
+                (test_probs.argmax(axis=1) == test.clean_labels).mean()))
+
+        if has_noise:
+            counts = prediction_type_counts(predicted, dataset.clean_labels,
+                                            dataset.noisy_labels)
+            for key, val in counts.items():
+                pred_types[key].append(val)
+
+        if stopper is not None:
+            mon_probs = (test_probs if raw_mon is None
+                         else probabilities(raw_mon, objective))
+            monitor_loss = _summed_logloss(mon_probs, mon_labels)
+            if not np.isfinite(monitor_loss):
                 raise TrainingDivergedError(
-                    f"round {t}: training loss became non-finite")
-            train_acc = _weighted_accuracy(predicted, labels, weights)
-            series["train_logloss"].append(train_loss)
-            series["train_accuracy"].append(train_acc)
-
-            test_loss = test_acc = None
-            if test is not None:
-                test_probs = probabilities(raw_test, objective)
-                test_pred = test_probs.argmax(axis=1)
-                test_loss = float(_logloss_terms(test_probs,
-                                                 test.clean_labels).mean())
-                test_acc = float((test_pred == test.clean_labels).mean())
-                series["test_logloss"].append(test_loss)
-                series["test_accuracy"].append(test_acc)
-
-            monitor_loss = None
-            if monitor_data is not None:
-                mon_probs = probabilities(raw_mon, objective)
-                monitor_loss = _summed_logloss(mon_probs, monitor_data[1])
-                if not np.isfinite(monitor_loss):
-                    raise TrainingDivergedError(
-                        f"round {t}: monitored loss became non-finite")
-                series["monitor_logloss"].append(monitor_loss)
-
-            if has_noise:
-                counts = prediction_type_counts(predicted,
-                                                dataset.clean_labels,
-                                                dataset.noisy_labels)
-                for key, val in counts.items():
-                    pred_types[key].append(val)
-
-            if logger is not None:
-                logger.log(t, train_loss, monitor_loss, train_acc, test_acc)
-
-            if stopper is not None and stopper.update(t, monitor_loss):
+                    f"round {t}: monitored loss became non-finite")
+            series["monitor_logloss"].append(monitor_loss)
+            if stopper.update(t, monitor_loss):
                 stopped_early = True
                 break
-    finally:
-        if logger is not None:
-            logger.close()
 
     best_round = stopper.best_round if stopper is not None else rounds_trained - 1
     final_ensemble = ensemble.truncated(best_round + 1)
 
     report = RunReport(
-        seed=0,
         config=asdict(config) | {"objective_resolved": objective,
                                  "tree_method_resolved": method},
         rounds_trained=rounds_trained,
         best_round=best_round,
         stopped_early=stopped_early,
-        empirical_noise_rate=float(dataset.noise_mask.mean()) if n else 0.0,
         series={k: v for k, v in series.items() if v},
         prediction_types=pred_types if has_noise else
         {k: [] for k in pred_types},
-        detector_series=detector_series,
-        correction_events=all_events,
     )
 
     if test is not None:
         final_pred = final_ensemble.predict_class(test.features)
         report.final = classification_metrics(final_pred, test.clean_labels,
                                               c).as_dict()
-
-    if detector_series:
-        evaluation = {}
-        for point, round_idx in (
-                ("first_after_warmup", first_detection_round),
-                ("early_stop", max(best_round, first_detection_round or 0))):
-            methods = {}
-            for m, entry in detector_series.items():
-                if round_idx in entry["round"]:
-                    i = entry["round"].index(round_idx)
-                elif entry["round"]:
-                    # early stop can precede or outlive the detection rounds
-                    later = [r for r in entry["round"] if r >= round_idx]
-                    target = min(later) if later else entry["round"][-1]
-                    i = entry["round"].index(target)
-                else:
-                    continue
-                methods[m] = {key: entry[key][i]
-                              for key in ("accuracy", "precision", "recall",
-                                          "flagged_fraction")}
-                methods[m]["round"] = entry["round"][i]
-            evaluation[point] = {"round": round_idx, "methods": methods}
-        report.evaluation = evaluation
 
     return TrainResult(ensemble=final_ensemble, dynamics=dyn, report=report)

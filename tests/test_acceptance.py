@@ -236,17 +236,11 @@ class TestCriterion08OverlapProperty:
         nseed = derive_seed(SEED, "noise", "pair", 0.3)
         noisy, _ = noise.inject(train_ds.clean_labels,
                                 noise.pair_matrix(7, 0.3), nseed)
-        per_round = []
         handler = NoiseHandler(detectors=("lrt", "aum"), mode="none")
-
-        def capture(t, dynamics, labels, weights, ids):
-            action = handler(t, dynamics, labels, weights, ids)
-            per_round.append((action.flags["lrt"], action.flags["aum"]))
-            return action
-
         train(train_ds.with_noise(noisy),
               BoostConfig(n_rounds=25, warmup_rounds=15, history_window=1),
-              capture)
+              handler)
+        per_round = [(f["lrt"], f["aum"]) for _, f in handler.flag_rounds]
         assert per_round
         mismatches = sum(int((l != a).sum()) for l, a in per_round)
         ok = mismatches == 0

@@ -7,7 +7,9 @@ from conftest import blob_dataset
 from noisygbdt import noise
 from noisygbdt.correct import (CorrectionState, NoiseHandler, apply_relabel,
                                apply_removal)
-from noisygbdt.gbdt import BoostConfig, RoundAction, train
+from noisygbdt.detect import detection_report
+from noisygbdt.experiment import ExperimentConfig, run_cell
+from noisygbdt.gbdt import BoostConfig, train
 
 
 def make_state(n=10, mode="remove", budget=0.8, class_count=3):
@@ -161,9 +163,11 @@ class TestNoiseHandler:
     def test_removal_run_reduces_weights(self):
         ds = self.noisy_blobs()
         handler = NoiseHandler(detectors=("aum",), mode="remove")
-        res = train(ds, BoostConfig(n_rounds=20, warmup_rounds=15), handler)
+        train(ds, BoostConfig(n_rounds=20, warmup_rounds=15), handler)
         assert handler.state.removed_count > 0
-        assert res.report.detector_series["aum"]["flagged_count"][0] > 0
+        series, _, _ = detection_report(handler.flag_rounds, handler.events,
+                                        ds.noise_mask, best_round=19)
+        assert series["aum"]["flagged_count"][0] > 0
 
     def test_relabel_run_marks_instances(self):
         ds = self.noisy_blobs()
@@ -174,12 +178,16 @@ class TestNoiseHandler:
         assert handler.state.relabeled_count <= len(ds)
 
     def test_events_forwarded_to_report(self):
-        ds = self.noisy_blobs()
-        handler = NoiseHandler(detectors=("aum",), mode="remove")
-        res = train(ds, BoostConfig(n_rounds=18, warmup_rounds=15), handler)
-        actions = [e for e in res.report.correction_events
+        ds = blob_dataset(n=300, classes=3, seed=1)
+        rows = np.arange(len(ds))
+        cfg = ExperimentConfig(detectors=("aum",), monitor="none",
+                               boost=BoostConfig(n_rounds=18,
+                                                 warmup_rounds=15))
+        report = run_cell(cfg, ds.take(rows[:240]), ds.take(rows[240:]),
+                          "pair", 0.3, "aum", "remove", trial_seed=0)
+        actions = [e for e in report.correction_events
                    if e["action"] == "remove"]
-        assert len(actions) == handler.state.removed_count
+        assert len(actions) == report.correction_summary["removed_total"] > 0
 
     def test_correction_improves_test_logloss_quickly(self):
         # a corrected run beats the uncorrected baseline within ten rounds

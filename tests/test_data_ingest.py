@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from noisygbdt.data_ingest import (ColumnSchema, DataIngestError, SplitSpec,
-                                   load_csv, load_dataset, prepare, preprocess,
-                                   save_dataset, split, stratified_subsample)
+                                   load_csv, prepare, preprocess, split)
 
 
 def write_csv(tmp_path, text, name="t.csv"):
@@ -189,37 +188,3 @@ class TestSplit:
         assert abs(train.features[:, 0].std() - 1.0) < 1e-9
         # test column distribution reflects the train statistics, not its own
         assert abs(test.features[:, 0].mean()) > 1e-12
-
-
-class TestCacheAndSubsample:
-    def test_cache_round_trip(self, tmp_path):
-        ds = preprocess(load_csv(make_balanced(tmp_path)), "label")
-        cache = tmp_path / "ds.npz"
-        save_dataset(ds, cache)
-        back = load_dataset(cache)
-        assert np.array_equal(back.features, ds.features)
-        assert np.array_equal(back.clean_labels, ds.clean_labels)
-        assert back.label_names == ds.label_names
-
-    def test_cache_version_check(self, tmp_path):
-        ds = preprocess(load_csv(make_balanced(tmp_path)), "label")
-        cache = tmp_path / "ds.npz"
-        save_dataset(ds, cache)
-        import json
-
-        with np.load(cache) as blob:
-            payload = {k: blob[k] for k in blob.files}
-        header = json.loads(bytes(payload["header"]).decode())
-        header["format_version"] = 999
-        payload["header"] = np.frombuffer(json.dumps(header).encode(),
-                                          dtype=np.uint8)
-        np.savez(cache, **payload)
-        with pytest.raises(DataIngestError, match="version"):
-            load_dataset(cache)
-
-    def test_stratified_subsample_preserves_proportions(self, tmp_path):
-        ds = preprocess(load_csv(make_balanced(tmp_path, n=1000)), "label")
-        sub = stratified_subsample(ds, 100, seed=5)
-        assert abs(len(sub) - 100) <= 2
-        frac = (sub.clean_labels == 1).mean()
-        assert abs(frac - 0.5) < 0.05

@@ -9,7 +9,8 @@ from conftest import threshold_dataset
 from noisygbdt import noise
 from noisygbdt.detect import (ALL_METHODS, FixedPolicy, GmmPolicy,
                               QuantilePolicy, aum_scores, confcorr_scores,
-                              detection_metrics, estimated_noise_rate,
+                              detection_metrics, detection_report,
+                              estimated_noise_rate,
                               fit_gmm_1d, gmm_decision_threshold,
                               gradient_scores, lrt_scores, parse_policy,
                               score_all, threshold)
@@ -303,6 +304,73 @@ class TestDetectionMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             detection_metrics(np.zeros(3, bool), np.zeros(4, bool))
+
+
+class TestDetectionReport:
+    MASK = np.array([True, False, False, True])
+
+    def flag_rounds(self, rounds):
+        # round r flags rows 0..(r mod 4): "a" flags, "b" never does
+        return [(r, {"a": np.arange(4) <= r % 4, "b": np.zeros(4, bool)})
+                for r in rounds]
+
+    def test_series_match_detection_metrics(self):
+        flag_rounds = self.flag_rounds([3, 4, 5])
+        series, _, _ = detection_report(flag_rounds, [], self.MASK, 5)
+        assert list(series) == ["a", "b"]
+        assert series["a"]["round"] == [3, 4, 5]
+        for i, (_, flags) in enumerate(flag_rounds):
+            m = detection_metrics(flags["a"], self.MASK)
+            for key in ("accuracy", "precision", "recall",
+                        "flagged_fraction", "flagged_count",
+                        "flagged_noisy_count"):
+                assert series["a"][key][i] == getattr(m, key)
+        assert series["b"]["flagged_count"] == [0, 0, 0]
+
+    def test_early_stop_inside_detection_rounds(self):
+        _, evaluation, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
+                                            self.MASK, 4)
+        first = evaluation["first_after_warmup"]
+        assert first["round"] == 3 and first["methods"]["a"]["round"] == 3
+        stop = evaluation["early_stop"]
+        assert stop["round"] == 4 and stop["methods"]["a"]["round"] == 4
+        assert stop["methods"]["a"]["flagged_fraction"] == 0.25
+        assert set(stop["methods"]["a"]) == {"accuracy", "precision",
+                                             "recall", "flagged_fraction",
+                                             "round"}
+
+    def test_early_stop_before_detection_rounds(self):
+        # the best round precedes the warm-up's end: evaluate at the first
+        # detection round
+        _, evaluation, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
+                                            self.MASK, 1)
+        stop = evaluation["early_stop"]
+        assert stop["round"] == 3 and stop["methods"]["a"]["round"] == 3
+
+    def test_early_stop_after_detection_rounds(self):
+        _, evaluation, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
+                                            self.MASK, 9)
+        stop = evaluation["early_stop"]
+        assert stop["round"] == 9 and stop["methods"]["a"]["round"] == 5
+
+    def test_early_stop_between_detection_rounds(self):
+        _, evaluation, _ = detection_report(self.flag_rounds([3, 6]), [],
+                                            self.MASK, 4)
+        assert evaluation["early_stop"]["methods"]["a"]["round"] == 6
+
+    def test_no_detectors_no_evaluation(self):
+        series, evaluation, _ = detection_report([(3, {}), (4, {})], [],
+                                                 self.MASK, 4)
+        assert series == {} and evaluation == {}
+
+    def test_events_learn_the_ground_truth(self):
+        events = [{"round": 3, "instance_id": 0, "action": "remove"},
+                  {"round": 3, "instance_id": 1, "action": "relabel"},
+                  {"round": 3, "instance_id": -1, "action": "budget_hit"}]
+        _, _, tagged = detection_report([], events, self.MASK, 3)
+        assert [ev.get("was_actually_noisy") for ev in tagged] == [
+            True, False, None]
+        assert "was_actually_noisy" not in events[0]
 
 
 class TestEstimatedRate:

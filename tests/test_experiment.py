@@ -182,6 +182,25 @@ class TestStages:
         tables = run_stage3(cfg)
         assert any("std=" in r["note"] for r in tables["classification"])
 
+    def test_stage3_detection_takes_best_mode_per_trial(self, tmp_path):
+        cfg = tiny_config(tmp_path, subsample=400, noise_rates=(0.3,),
+                          trials=2, detectors=("gradients",),
+                          corrections=("remove", "relabel"), monitor="none",
+                          boost=BoostConfig(n_rounds=20, warmup_rounds=15))
+        per_trial: dict[int, list[float]] = {}
+        for r in run_stage2(cfg):
+            if r.detection == "gradients":
+                methods = r.evaluation["early_stop"]["methods"]
+                per_trial.setdefault(r.seed, []).append(
+                    100.0 * methods["gradients"]["accuracy"])
+        assert len(per_trial) == 2
+        # the modes disagree, so the best mode and the mode average differ
+        assert any(len(set(v)) > 1 for v in per_trial.values())
+        best = [max(v) for v in per_trial.values()]
+        (row,) = run_stage3(cfg)["detection"]
+        assert row["value"] == round(float(np.mean(best)), 2)
+        assert row["note"].endswith(f"std={float(np.std(best)):.2f}")
+
 
 class TestPrepareData:
     def test_breast_cancer_builtin(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import blob_dataset, make_dataset, threshold_dataset
 from noisygbdt import noise
 from noisygbdt.experiment import ExperimentConfig, prepare_data
-from noisygbdt.gbdt import (BoostConfig, EarlyStopper, Ensemble, RoundAction,
+from noisygbdt.gbdt import (BoostConfig, EarlyStopper, Ensemble,
                             TrainingDivergedError, Tree, _ExactSplitter,
                             _midpoint, _presort, _split_gains, build_tree,
                             grad_hess, leaf_value, load_model, predict,
@@ -122,6 +122,20 @@ class TestBuildTree:
         x = np.zeros((3, 1))
         with pytest.raises(ValueError, match="zero"):
             build_tree(x, np.ones(3), np.ones(3), np.zeros(3), BoostConfig())
+
+    def test_bad_regularisation_raises_value_error(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        g = np.array([-1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="l2_reg"):
+            build_tree(x, g, np.zeros(4), np.ones(4), BoostConfig(l2_reg=0.0))
+        with pytest.raises(ValueError, match="l2_reg"):
+            build_tree(x, g, np.ones(4), np.ones(4), BoostConfig(l2_reg=-1.0))
+
+    def test_negative_hessians_rejected(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        h = np.array([1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="hessians"):
+            build_tree(x, np.ones(4), h, np.ones(4), BoostConfig())
 
     def test_exact_and_hist_agree_on_small_data(self):
         rng = np.random.default_rng(5)
@@ -307,7 +321,7 @@ class TestTrain:
 
         def callback(t, dynamics, labels, weights, ids):
             calls.append((t, dynamics.rounds_recorded))
-            return RoundAction()
+            return False
 
         train(separable, BoostConfig(n_rounds=18, warmup_rounds=15), callback)
         # first invocation in the sixteenth boosting round, with fifteen
@@ -364,19 +378,27 @@ class TestTrain:
         with pytest.raises(ValueError, match="finite"):
             train(ds, BoostConfig(n_rounds=2, warmup_rounds=1))
 
-    def test_metrics_csv_stream(self, separable, tmp_path):
-        path = tmp_path / "rounds.csv"
-        train(separable, BoostConfig(n_rounds=4, warmup_rounds=1),
-              metrics_csv=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("round,train_logloss")
-        assert len(lines) == 5
+    def test_monitor_test_equals_explicit_pair(self):
+        ds = blob_dataset(n=300, classes=3, seed=2, separation=1.5)
+        rows = np.arange(len(ds))
+        train_ds, test_ds = ds.take(rows[:200]), ds.take(rows[200:])
+        noisy, _ = noise.inject(train_ds.clean_labels,
+                                noise.pair_matrix(3, 0.3), seed=3)
+        train_ds = train_ds.with_noise(noisy)
+        cfg = BoostConfig(n_rounds=25, warmup_rounds=5, early_stop_patience=3)
+        by_name = train(train_ds, cfg, test=test_ds, monitor="test")
+        by_pair = train(train_ds, cfg, test=test_ds,
+                        monitor=(test_ds.features, test_ds.clean_labels))
+        assert (by_name.report.series["monitor_logloss"]
+                == by_pair.report.series["monitor_logloss"])
+        assert by_name.ensemble.to_dict() == by_pair.ensemble.to_dict()
+        assert by_name.report.stopped_early
 
     def test_warmup_validation_only_with_callback(self, separable):
         cfg = BoostConfig(n_rounds=10, warmup_rounds=15)
         train(separable, cfg)  # fine without callback
         with pytest.raises(ValueError, match="warmup"):
-            train(separable, cfg, lambda *a: RoundAction())
+            train(separable, cfg, lambda *a: False)
 
 
 class TestPredictAndSerialize:
