@@ -3,14 +3,14 @@ injection, per-instance noise detection, and in-training correction."""
 
 from .data_ingest import (ColumnSchema, Dataset, SplitSpec, load_csv,
                           preprocess, prepare, split)
-from .noise import (NoiseSpec, TransitionMatrix, empirical_rate, inject,
-                    pair_matrix, symmetric_matrix)
-from .gbdt import (BoostConfig, Ensemble, Tree, TrainResult, build_tree,
-                   grad_hess, predict, probabilities, train)
+from .noise import (NoiseSpec, TransitionMatrix, inject, pair_matrix,
+                    symmetric_matrix)
+from .gbdt import (BoostConfig, Booster, Ensemble, Tree, TrainResult,
+                   build_tree, grad_hess, predict, probabilities, train)
 from .dynamics import DynamicsLog, EpochRecord
 from .detect import (ConfCorrStats, Gmm1D, NoiseScores, aum_scores,
-                     confcorr_scores, detection_metrics, estimated_noise_rate,
-                     fit_gmm_1d, gradient_scores, lrt_scores, threshold)
+                     confcorr_scores, detection_metrics, fit_gmm_1d,
+                     gradient_scores, lrt_scores, threshold)
 from .correct import CorrectionState, NoiseHandler, apply_relabel, apply_removal
 from .metrics_report import (ClassificationMetrics, RunReport,
                              classification_metrics, prediction_type_counts,
@@ -19,15 +19,14 @@ from .metrics_report import (ClassificationMetrics, RunReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoostConfig", "ClassificationMetrics", "ColumnSchema", "ConfCorrStats",
-    "CorrectionState", "Dataset", "DynamicsLog", "Ensemble", "EpochRecord",
-    "Gmm1D", "NoiseHandler", "NoiseScores", "NoiseSpec", "RunReport",
-    "SplitSpec", "TrainResult", "TransitionMatrix", "Tree",
+    "BoostConfig", "Booster", "ClassificationMetrics", "ColumnSchema",
+    "ConfCorrStats", "CorrectionState", "Dataset", "DynamicsLog", "Ensemble",
+    "EpochRecord", "Gmm1D", "NoiseHandler", "NoiseScores", "NoiseSpec",
+    "RunReport", "SplitSpec", "TrainResult", "TransitionMatrix", "Tree",
     "apply_relabel", "apply_removal", "aum_scores", "build_tree",
     "classification_metrics", "confcorr_scores", "detection_metrics",
-    "empirical_rate", "estimated_noise_rate", "fit_gmm_1d", "grad_hess",
-    "gradient_scores", "inject", "load_csv", "lrt_scores", "pair_matrix",
-    "predict", "prediction_type_counts", "prepare", "preprocess",
-    "probabilities", "split", "symmetric_matrix", "threshold", "train",
-    "write_report",
+    "fit_gmm_1d", "grad_hess", "gradient_scores", "inject", "load_csv",
+    "lrt_scores", "pair_matrix", "predict", "prediction_type_counts",
+    "prepare", "preprocess", "probabilities", "split", "symmetric_matrix",
+    "threshold", "train", "write_report",
 ]

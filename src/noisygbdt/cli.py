@@ -6,7 +6,9 @@
 
 The output directory resolves in order: --out flag, NOISYGBDT_OUT environment
 variable, then the config file value. Exit code 0 on success; nonzero with a
-single diagnostic line on stderr otherwise.
+single diagnostic line on stderr otherwise. A grid cell that fails leaves
+error.txt in its directory; the rest of the grid and the later stages still
+run, and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import yaml
 
 from . import __version__
 from .experiment import (ExperimentError, load_config, run_stage1, run_stage2,
-                         run_stage3)
+                         run_stage3, stage_cell_count)
 
 OUT_DIR_ENV = "NOISYGBDT_OUT"
 
@@ -71,17 +73,22 @@ def cmd_run(args) -> int:
                              default_flow_style=False), end="")
         return 0
     stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
+    failed = 0
     for stage in stages:
-        if stage == 1:
-            reports = run_stage1(cfg)
-            print(f"stage 1: wrote {len(reports)} reports to {cfg.out_dir}")
-        elif stage == 2:
-            reports = run_stage2(cfg)
-            print(f"stage 2: wrote {len(reports)} reports to {cfg.out_dir}")
-        else:
-            tables = run_stage3(cfg)
-            print(f"stage 3: wrote comparison tables to {tables['out_dir']}")
-    return 0
+        if stage == 3:
+            for kind in cfg.noise_kinds:
+                tables = run_stage3(cfg, kind)
+                print(f"stage 3: wrote {kind} comparison tables to "
+                      f"{tables['out_dir']}")
+            continue
+        reports = (run_stage1 if stage == 1 else run_stage2)(cfg)
+        print(f"stage {stage}: wrote {len(reports)} reports to {cfg.out_dir}")
+        missing = stage_cell_count(cfg, stage) - len(reports)
+        if missing:
+            print(f"error: stage {stage}: {missing} cells failed; each "
+                  "holds error.txt", file=sys.stderr)
+        failed += missing
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

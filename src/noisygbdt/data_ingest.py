@@ -63,9 +63,6 @@ class RawTable:
                 return col
         raise DataIngestError(f"no column named {name!r}")
 
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
 
 @dataclass
 class Dataset:
@@ -87,10 +84,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
     def validate(self) -> None:
         n = len(self)

@@ -69,7 +69,6 @@ class NoiseScores:
 @dataclass
 class ConfCorrStats:
     confidence: np.ndarray    # mean label probability, in [0, 1]
-    variability: np.ndarray   # population std of the label probabilities
     correctness: np.ndarray   # fraction of rounds predicted as the label
 
 
@@ -319,10 +318,9 @@ def aum_scores(window_logits: np.ndarray, labels: np.ndarray,
 
 def confcorr_scores(log: DynamicsLog,
                     instance_ids: np.ndarray) -> tuple[ConfCorrStats, NoiseScores]:
-    """Confidence / variability / correctness over all recorded rounds, with a
-    combined score (confidence + correctness) / 2 thresholded by mixture fit."""
+    """Confidence and correctness over all recorded rounds, with a combined
+    score (confidence + correctness) / 2 thresholded by mixture fit."""
     stats = ConfCorrStats(confidence=log.confidence(),
-                          variability=log.variability(),
                           correctness=log.correctness())
     combined = 0.5 * (stats.confidence + stats.correctness)
     flags, cut, note = _gmm_flags(combined, LOW_IS_NOISY,
@@ -394,18 +392,19 @@ def detection_metrics(flags: np.ndarray, noise_mask: np.ndarray) -> DetectionMet
 
 
 def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
-                     best_round: int) -> tuple[dict, dict, list]:
+                     best_round: int) -> tuple[dict, dict, dict, list]:
     """Score a run's detector flags and correction events against the
     ground-truth noise mask.
 
     ``flag_rounds`` holds one (round, {method: flags}) pair per detection
     round, in ascending round order (``NoiseHandler.flag_rounds``). Returns
     the per-round series of every method, the evaluation at the first
-    detection round and at the early-stopped round, and the events with
-    ``was_actually_noisy`` added to each removal and relabel. Early stopping
-    before the first detection round is evaluated at that round; at a round
-    without detection, the next detection round is used, or the last one when
-    none follows.
+    detection round and at the early-stopped round, each method's peak
+    flagged fraction with its (first) round, which shows a detector that
+    floods, and the events with ``was_actually_noisy`` added to each removal
+    and relabel. Early stopping before the first detection round is
+    evaluated at that round; at a round without detection, the next
+    detection round is used, or the last one when none follows.
     """
     series: dict[str, dict] = {}
     for round_index, flags in flag_rounds:
@@ -429,14 +428,14 @@ def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
                                                "recall", "flagged_fraction")}
                 methods[method]["round"] = rounds[i]
             evaluation[point] = {"round": round_index, "methods": methods}
+    peaks = {}
+    for method, entry in series.items():
+        fractions = entry["flagged_fraction"]
+        i = int(np.argmax(fractions))
+        peaks[method] = {"flagged_fraction": fractions[i],
+                         "round": entry["round"][i]}
     events = [ev | {"was_actually_noisy": bool(noise_mask[ev["instance_id"]])}
               if ev["action"] in ("remove", "relabel") else ev
               for ev in events]
-    return series, evaluation, events
+    return series, evaluation, peaks, events
 
-
-def estimated_noise_rate(flags: np.ndarray) -> float:
-    flags = np.asarray(flags, dtype=bool)
-    if flags.size == 0:
-        raise ValueError("empty flag vector")
-    return float(flags.mean())

@@ -2,12 +2,13 @@
 incremental accumulators maintained across the whole run.
 
 The window (default 5 rounds) feeds the margin- and gradient-based detectors
-and the relabeling window; the incremental sums feed the confidence /
-variability / correctness statistics without storing full history.
+and the relabeling window; the incremental sums feed the confidence and
+correctness statistics without storing full history.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,7 +45,6 @@ class DynamicsLog:
         self.rounds_recorded = 0
         self._last_round: int | None = None
         self.sum_label_prob = np.zeros(n_instances)
-        self.sum_label_prob_sq = np.zeros(n_instances)
         self.sum_correct = np.zeros(n_instances)
 
     def record(self, record: EpochRecord, labels: np.ndarray) -> None:
@@ -56,11 +56,19 @@ class DynamicsLog:
             raise ValueError("record shape does not match the log")
         p_label = record.probs[np.arange(self.n_instances), labels]
         self.sum_label_prob += p_label
-        self.sum_label_prob_sq += p_label * p_label
         self.sum_correct += (record.predicted == labels)
         self.window.append(record)
         self.rounds_recorded += 1
         self._last_round = record.round
+
+    def copy(self) -> "DynamicsLog":
+        """An independent log that shares the recorded EpochRecords, which
+        are never mutated after recording."""
+        other = copy.copy(self)
+        other.window = deque(self.window, maxlen=self.window_size)
+        other.sum_label_prob = self.sum_label_prob.copy()
+        other.sum_correct = self.sum_correct.copy()
+        return other
 
     # -- read-only views consumed by the detectors ---------------------------
 
@@ -85,14 +93,6 @@ class DynamicsLog:
         self._require_rounds()
         return self.sum_label_prob / self.rounds_recorded
 
-    def variability(self) -> np.ndarray:
-        """Population standard deviation of the label-probability sequence."""
-        self._require_rounds()
-        t = self.rounds_recorded
-        mean = self.sum_label_prob / t
-        var = self.sum_label_prob_sq / t - mean * mean
-        return np.sqrt(np.maximum(var, 0.0))
-
     def correctness(self) -> np.ndarray:
         """Fraction of rounds where the prediction equaled the instance's label."""
         self._require_rounds()
@@ -101,23 +101,3 @@ class DynamicsLog:
     def _require_rounds(self) -> None:
         if self.rounds_recorded == 0:
             raise ValueError("no rounds recorded")
-
-    def dump_csv(self, path, instance_ids: np.ndarray | None = None) -> None:
-        """Write the retained window to CSV, one row per (round, instance)."""
-        import csv
-
-        ids = (np.arange(self.n_instances) if instance_ids is None
-               else np.asarray(instance_ids))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = (["round", "instance_id", "predicted", "max_abs_gradient"]
-                      + [f"logit_{k}" for k in range(self.class_count)]
-                      + [f"prob_{k}" for k in range(self.class_count)])
-            writer.writerow(header)
-            for rec in self.window:
-                for i in range(self.n_instances):
-                    writer.writerow(
-                        [rec.round, int(ids[i]), int(rec.predicted[i]),
-                         repr(float(rec.max_abs_gradient[i]))]
-                        + [repr(float(v)) for v in rec.logits[i]]
-                        + [repr(float(v)) for v in rec.probs[i]])

@@ -4,12 +4,19 @@ Stage 1 trains uncorrected models over a (noise kind, rate) grid and records
 per-round curves against the clean test set. Stage 2 runs the full detector x
 correction grid plus an uncorrected baseline per grid point, sharing one noise
 realization per (kind, rate) so cells differ only in the method. Stage 3
-aggregates stage-2 reports into comparison tables.
+aggregates stage-2 reports into comparison tables, one set per noise kind.
+
+The unit of work is a (kind, rate, trial) group (``run_group``): its data,
+noise and warm-up rounds are prepared and trained once, and every cell
+continues from a fork of that prefix. A cell that fails leaves ``error.txt``
+in its directory instead of a report, and the rest of the grid goes on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
+import traceback
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,13 +27,10 @@ import yaml
 
 from . import datasets, detect, noise
 from .correct import NoiseHandler
-from .data_ingest import (DataIngestError, SplitSpec, load_csv, prepare,
-                          subsample_table)
-from .gbdt import BoostConfig, train
-from .metrics_report import (RunReport, load_report, tables_rows,
-                             write_tables_csv, write_report)
-
-STAGES = (1, 2, 3)
+from .data_ingest import SplitSpec, load_csv, prepare, subsample_table
+from .gbdt import Booster, BoostConfig
+from .metrics_report import (RunReport, load_report, write_tables_csv,
+                             write_report)
 
 MONITORS = ("none", "clean_test", "noisy_val")
 
@@ -35,6 +39,9 @@ COMPARISON_DETECTION_RATES = (0.1, 0.2, 0.3)
 COMPARISON_CLASSIFICATION_RATE = 0.3
 
 DEFAULT_RATES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+
+
+log = logging.getLogger(__name__)
 
 
 class ExperimentError(ValueError):
@@ -172,61 +179,105 @@ def _carve_validation(train_ds, fraction: float, seed: int):
 
 
 # --------------------------------------------------------------------------
-# single experiment cell
+# experiment cells, one (kind, rate, trial) group at a time
 # --------------------------------------------------------------------------
+
+def _noisy_fit_set(cfg: ExperimentConfig, train_ds, kind: str, rate: float,
+                   trial_seed: int):
+    """The noisy set a grid point fits, its early-stopping monitor and its
+    noise seed. All depend only on (trial_seed, kind, rate)."""
+    noise_seed = derive_seed(trial_seed, "noise", kind, rate)
+    matrix = noise.matrix_for(noise.NoiseSpec(kind=kind, rate=rate,
+                                              seed=noise_seed),
+                              train_ds.class_count)
+    noisy_labels, _ = noise.inject(train_ds.clean_labels, matrix, noise_seed)
+    fit_ds = train_ds.with_noise(noisy_labels)
+    monitor = None
+    if cfg.monitor == "noisy_val":
+        fit_ds, val_ds = _carve_validation(
+            fit_ds, cfg.noisy_val_fraction,
+            derive_seed(trial_seed, "val", kind, rate))
+        monitor = (val_ds.features, val_ds.noisy_labels)
+    elif cfg.monitor == "clean_test":
+        monitor = "test"
+    return fit_ds, monitor, noise_seed
+
+
+def _handler(cfg: ExperimentConfig, detector: str | None,
+             correction: str) -> NoiseHandler:
+    if correction == "none":
+        return NoiseHandler(detectors=cfg.detectors, mode="none",
+                            policy_override=cfg.threshold_policy)
+    return NoiseHandler(detectors=(detector,), mode=correction,
+                        removal_budget=cfg.removal_budget,
+                        policy_override=cfg.threshold_policy)
+
+
+def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
+              rate: float, cells, trial_seed: int) -> list:
+    """Train the cells of one (noise kind, rate, trial) grid point.
+
+    ``cells`` lists (detector, correction) pairs; (None, "none") is the
+    uncorrected baseline. The noise realization and validation carve depend
+    only on (trial_seed, kind, rate), and the correction callback is not
+    invoked before ``warmup_rounds``, so all cells train the same warm-up.
+    It is trained once; each cell continues from a fork of it with its own
+    NoiseHandler, and the last cell takes the prefix itself, so a one-cell
+    group copies nothing. If early stopping fires inside the warm-up, every
+    cell equals the prefix.
+
+    Returns one entry per cell, in order: its RunReport, or the exception
+    the cell raised, so one failing cell does not cost the others. An
+    exception before the fork (noise injection, the warm-up) propagates.
+    """
+    cfg.boost.validate(with_callback=True)
+    fit_ds, monitor, noise_seed = _noisy_fit_set(cfg, train_ds, kind, rate,
+                                                 trial_seed)
+    prefix = Booster(fit_ds, cfg.boost, test=test_ds, monitor=monitor).run(
+        until=cfg.boost.warmup_rounds)
+    results = []
+    for i, (detector, correction) in enumerate(cells):
+        try:
+            booster = prefix if i == len(cells) - 1 else prefix.fork()
+            handler = _handler(cfg, detector, correction)
+            report = booster.run(handler).result().report
+            # training and correction act without the ground truth; it is
+            # used here
+            report.empirical_noise_rate = float(fit_ds.noise_mask.mean())
+            (report.detector_series, report.evaluation, report.detector_peaks,
+             report.correction_events) = detect.detection_report(
+                handler.flag_rounds, handler.events, fit_ds.noise_mask,
+                report.best_round)
+            report.dataset = cfg.dataset
+            report.noise_kind = kind
+            report.noise_rate = rate
+            report.detection = detector or "none"
+            report.correction = correction
+            report.seed = trial_seed
+            report.note = "subsampled" if cfg.subsample else ""
+            report.config = {"experiment": cfg.as_dict(),
+                             "training": report.config,
+                             "noise_seed": noise_seed}
+            report.correction_summary = handler.summary()
+            results.append(report)
+        except Exception as exc:
+            results.append(exc)
+    return results
+
 
 def run_cell(cfg: ExperimentConfig, train_ds, test_ds, kind: str, rate: float,
              detector: str | None, correction: str,
              trial_seed: int) -> RunReport:
     """Train one (noise kind, rate, detector, correction) cell.
 
-    The noise realization and validation carve depend only on
-    (trial_seed, kind, rate), so all cells of one grid point share them.
+    It is a one-cell group (``run_group``), so it trains exactly as the same
+    cell of a grid does; a failure is raised.
     """
-    noise_seed = derive_seed(trial_seed, "noise", kind, rate)
-    matrix = noise.matrix_for(noise.NoiseSpec(kind=kind, rate=rate,
-                                              seed=noise_seed),
-                              train_ds.class_count)
-    noisy_labels, _ = noise.inject(train_ds.clean_labels, matrix, noise_seed)
-    noisy_train = train_ds.with_noise(noisy_labels)
-
-    monitor = None
-    fit_ds = noisy_train
-    if cfg.monitor == "noisy_val":
-        fit_ds, val_ds = _carve_validation(
-            noisy_train, cfg.noisy_val_fraction,
-            derive_seed(trial_seed, "val", kind, rate))
-        monitor = (val_ds.features, val_ds.noisy_labels)
-    elif cfg.monitor == "clean_test":
-        monitor = "test"
-
-    if correction == "none":
-        handler = NoiseHandler(detectors=cfg.detectors, mode="none",
-                               policy_override=cfg.threshold_policy)
-    else:
-        handler = NoiseHandler(detectors=(detector,), mode=correction,
-                               removal_budget=cfg.removal_budget,
-                               policy_override=cfg.threshold_policy)
-
-    report = train(fit_ds, cfg.boost, handler, test=test_ds,
-                   monitor=monitor).report
-    # training and correction act without the ground truth; it is used here
-    report.empirical_noise_rate = float(fit_ds.noise_mask.mean())
-    (report.detector_series, report.evaluation,
-     report.correction_events) = detect.detection_report(
-        handler.flag_rounds, handler.events, fit_ds.noise_mask,
-        report.best_round)
-    report.dataset = cfg.dataset
-    report.noise_kind = kind
-    report.noise_rate = rate
-    report.detection = detector or "none"
-    report.correction = correction
-    report.seed = trial_seed
-    report.note = "subsampled" if cfg.subsample else ""
-    report.config = {"experiment": cfg.as_dict(), "training": report.config,
-                     "noise_seed": noise_seed}
-    report.correction_summary = handler.summary()
-    return report
+    (result,) = run_group(cfg, train_ds, test_ds, kind, rate,
+                          [(detector, correction)], trial_seed)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _cell_dir(out_dir, stage: int, cfg, kind, rate, detector, correction,
@@ -245,43 +296,80 @@ def _trial_seeds(cfg: ExperimentConfig) -> list[int]:
     return [derive_seed(cfg.seed, "trial", k) for k in range(cfg.trials)]
 
 
-def _stage_cells(cfg: ExperimentConfig, stage: int):
+def _stage_groups(cfg: ExperimentConfig, stage: int):
+    """(kind, rate, cells) of every grid point of a stage."""
     for kind in cfg.noise_kinds:
         for rate in cfg.noise_rates:
-            yield kind, rate, None, "none"
+            cells = [(None, "none")]
             if stage == 2:
-                for detector in cfg.detectors:
-                    for correction in cfg.corrections:
-                        yield kind, rate, detector, correction
+                cells += [(detector, correction)
+                          for detector in cfg.detectors
+                          for correction in cfg.corrections]
+            yield kind, rate, cells
 
 
-def _run_spec(args):
-    cfg_payload, stage, kind, rate, detector, correction, trial_seed, \
-        trial_index = args
+def stage_cell_count(cfg: ExperimentConfig, stage: int) -> int:
+    """How many cells a stage's grid trains."""
+    return len(_trial_seeds(cfg)) * sum(
+        len(cells) for _, _, cells in _stage_groups(cfg, stage))
+
+
+def _write_cell(out: Path, result) -> bool:
+    """Write a cell's report, or the text of its exception to error.txt;
+    either one replaces what an earlier run left of the other."""
+    out.mkdir(parents=True, exist_ok=True)
+    failed = isinstance(result, Exception)
+    (out / ("report.json" if failed else "error.txt")).unlink(missing_ok=True)
+    if failed:
+        (out / "error.txt").write_text(
+            "".join(traceback.format_exception(result)))
+        log.error("cell %s failed: %s: %s", out, type(result).__name__,
+                  result)
+    else:
+        write_report(result, out)
+    return not failed
+
+
+def _run_group_spec(args) -> list[str]:
+    """Prepare the data, train one group and write its cells; returns the
+    directories of the cells that succeeded."""
+    cfg_payload, stage, kind, rate, cells, trial_seed, trial_index = args
     cfg = config_from_dict(cfg_payload)
-    train_ds, test_ds = prepare_data(cfg, trial_seed)
-    report = run_cell(cfg, train_ds, test_ds, kind, rate, detector,
-                      correction, trial_seed)
-    out = _cell_dir(cfg.out_dir, stage, cfg, kind, rate, detector, correction,
-                    trial_index)
-    write_report(report, out)
-    return str(out)
+    try:
+        train_ds, test_ds = prepare_data(cfg, trial_seed)
+        results = run_group(cfg, train_ds, test_ds, kind, rate, cells,
+                            trial_seed)
+    except Exception as exc:
+        results = [exc] * len(cells)
+    written = []
+    for (detector, correction), result in zip(cells, results):
+        out = _cell_dir(cfg.out_dir, stage, cfg, kind, rate, detector,
+                        correction, trial_index)
+        if _write_cell(out, result):
+            written.append(str(out))
+    return written
 
 
 def _run_stage_grid(cfg: ExperimentConfig, stage: int) -> list[RunReport]:
+    """Run a stage's (kind, rate, trial) groups and return the reports of
+    the cells that succeeded.
+
+    With ``jobs > 1`` the groups run in parallel worker processes, so a grid
+    of a single group runs serially.
+    """
     cfg.validate()
-    seeds = _trial_seeds(cfg)
-    specs = []
-    for trial_index, trial_seed in enumerate(seeds):
-        for kind, rate, detector, correction in _stage_cells(cfg, stage):
-            specs.append((cfg.as_dict(), stage, kind, rate, detector,
-                          correction, trial_seed, trial_index))
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            dirs = list(pool.map(_run_spec, specs))
+    specs = [(cfg.as_dict(), stage, kind, rate, cells, trial_seed,
+              trial_index)
+             for trial_index, trial_seed in enumerate(_trial_seeds(cfg))
+             for kind, rate, cells in _stage_groups(cfg, stage)]
+    if cfg.jobs > 1 and len(specs) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs,
+                                                 len(specs))) as pool:
+            written = list(pool.map(_run_group_spec, specs))
     else:
-        dirs = [_run_spec(spec) for spec in specs]
-    return [load_report(Path(d) / "report.json") for d in dirs]
+        written = [_run_group_spec(spec) for spec in specs]
+    return [load_report(Path(d) / "report.json")
+            for dirs in written for d in dirs]
 
 
 def run_stage1(cfg: ExperimentConfig) -> list[RunReport]:
@@ -323,7 +411,8 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 
 
 def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
-    """Aggregate stage-2 reports into detection and classification tables.
+    """Aggregate the stage-2 reports of one noise kind into detection and
+    classification tables, written under ``stage3/<dataset>/<kind>``.
 
     Detection accuracy is tabulated per (rate, detector) at the early-stopped
     epoch: the best value over the correction modes of that detector within
@@ -388,7 +477,7 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
             classification_rows.append(row)
     _mark_best(classification_rows, ("metric",))
 
-    out = Path(cfg.out_dir) / "stage3" / cfg.dataset
+    out = Path(cfg.out_dir) / "stage3" / cfg.dataset / kind
     out.mkdir(parents=True, exist_ok=True)
     write_tables_csv(detection_rows, out / "detection_tables.csv")
     write_tables_csv(classification_rows, out / "classification_tables.csv")

@@ -1,13 +1,18 @@
 """Gradient-boosted decision trees with per-round hooks for noise handling.
 
-The trainer exposes everything the noise detectors consume: per-round logits,
-probabilities, predictions, and per-instance gradients are recorded into a
-DynamicsLog, and an optional per-round callback may zero instance weights or
-rewrite labels before that round's trees are fit; it returns whether it
-changed any label. Training and the callback use the noisy labels alone (the
-clean training labels only feed the report's prediction-type counts), and the
-trainer does not score detector flags: the experiment layer does that against
-the injected noise (``detect.detection_report``).
+A ``Booster`` holds one run's state and trains one round per ``step``;
+``train`` runs one to the end, and ``Booster.fork`` lets several runs share
+a trained prefix. The trainer exposes everything the noise detectors
+consume: per-round logits, probabilities, predictions, and per-instance
+gradients are recorded into a DynamicsLog, and an optional per-round callback
+may zero instance weights or rewrite labels before that round's trees are
+fit; it returns whether it changed any label. Training and the callback use
+the noisy labels alone (the clean training labels only feed the report's
+prediction-type counts), and the trainer does not score detector flags: the
+experiment layer does that against the injected noise
+(``detect.detection_report``). Training scores are updated from the grower's
+leaf partition; only zero-weight rows and held-out sets go through
+``Tree.predict``.
 
 Split search is exact greedy for small data (columns presorted once per run,
 all features of a node searched in one vectorised pass) and histogram-based
@@ -16,8 +21,8 @@ for large data.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+import copy
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -332,8 +337,14 @@ class _HistSplitter:
 
 
 class _TreeGrower:
-    def __init__(self, config: BoostConfig):
+    """Grows one tree and records, in ``leaf_of_row``, the leaf each fitted
+    row lands in (-1 for rows outside the fit). Both splitters partition rows
+    with the predicate ``Tree.predict`` routes by, so these are the leaves
+    ``Tree.predict`` finds for the same rows."""
+
+    def __init__(self, config: BoostConfig, n_rows: int):
         self.cfg = config
+        self.leaf_of_row = np.full(n_rows, -1, dtype=np.int32)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -348,9 +359,11 @@ class _TreeGrower:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _make_leaf(self, idx: int, g_total: float, h_total: float) -> None:
+    def _make_leaf(self, idx: int, rows: np.ndarray, g_total: float,
+                   h_total: float) -> None:
         self.value[idx] = leaf_value(g_total, h_total, self.cfg.l2_reg,
                                      self.cfg.learning_rate)
+        self.leaf_of_row[rows] = idx
 
     def grow_exact(self, splitter: _ExactSplitter, rows: np.ndarray,
                    g: np.ndarray, h: np.ndarray, depth: int) -> int:
@@ -358,11 +371,11 @@ class _TreeGrower:
         g_total = float(g[rows].sum())
         h_total = float(h[rows].sum())
         if depth >= self.cfg.max_depth or len(rows) < 2:
-            self._make_leaf(idx, g_total, h_total)
+            self._make_leaf(idx, rows, g_total, h_total)
             return idx
         gain, feat, thr = splitter.best_split(rows, g, h, g_total, h_total)
         if feat is None or gain <= self.cfg.min_split_gain:
-            self._make_leaf(idx, g_total, h_total)
+            self._make_leaf(idx, rows, g_total, h_total)
             return idx
         left_rows, right_rows = splitter.partition(rows, feat, thr)
         self.feature[idx] = feat
@@ -381,11 +394,11 @@ class _TreeGrower:
         g_total = float(gh[0].sum())
         h_total = float(hh[0].sum())
         if depth >= self.cfg.max_depth or len(rows) < 2:
-            self._make_leaf(idx, g_total, h_total)
+            self._make_leaf(idx, rows, g_total, h_total)
             return idx
         gain, feat, bin_idx = splitter.best_split(hists, g_total, h_total)
         if feat is None or gain <= self.cfg.min_split_gain:
-            self._make_leaf(idx, g_total, h_total)
+            self._make_leaf(idx, rows, g_total, h_total)
             return idx
         left_rows, right_rows = splitter.partition(rows, feat, bin_idx)
         self.feature[idx] = feat
@@ -420,16 +433,19 @@ def _resolve_method(method: str, n_rows: int) -> str:
 
 
 def _fit_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray,
-              rows: np.ndarray, config: BoostConfig, index) -> Tree:
-    """``index`` is built once per training run: a Binner selects the
+              rows: np.ndarray, config: BoostConfig,
+              index) -> tuple[Tree, np.ndarray]:
+    """The tree and each row's leaf index (-1 outside ``rows``).
+
+    ``index`` is built once per training run: a Binner selects the
     histogram splitter, a ``_presort`` result the exact one."""
-    grower = _TreeGrower(config)
+    grower = _TreeGrower(config, len(g))
     if isinstance(index, Binner):
         grower.grow_hist(_HistSplitter(index, config), rows, g, h, 0)
     else:
         grower.grow_exact(_ExactSplitter(features, config, index), rows, g, h,
                           0)
-    return grower.freeze()
+    return grower.freeze(), grower.leaf_of_row
 
 
 def build_tree(features: np.ndarray, gradients: np.ndarray,
@@ -454,7 +470,7 @@ def build_tree(features: np.ndarray, gradients: np.ndarray,
     method = _resolve_method(config.tree_method, rows.size)
     index = (Binner(features, config.max_bins, fit_rows=rows)
              if method == "hist" else _presort(features))
-    return _fit_tree(features, g, h, rows, config, index)
+    return _fit_tree(features, g, h, rows, config, index)[0]
 
 
 # --------------------------------------------------------------------------
@@ -497,10 +513,6 @@ class Ensemble:
         probs = probabilities(raw, self.objective)
         return expand_logits(raw, self.objective), probs
 
-    def predict_class(self, features: np.ndarray) -> np.ndarray:
-        _, probs = self.predict(features)
-        return probs.argmax(axis=1)
-
     def truncated(self, n_rounds: int) -> "Ensemble":
         return Ensemble(objective=self.objective, class_count=self.class_count,
                         feature_count=self.feature_count,
@@ -541,16 +553,6 @@ def expand_logits(raw: np.ndarray, objective: str) -> np.ndarray:
 def predict(ensemble: Ensemble, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Module-level prediction: (logits (n, c), probabilities (n, c))."""
     return ensemble.predict(features)
-
-
-def save_model(ensemble: Ensemble, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(ensemble.to_dict(), fh)
-
-
-def load_model(path) -> Ensemble:
-    with open(path) as fh:
-        return Ensemble.from_dict(json.load(fh))
 
 
 # --------------------------------------------------------------------------
@@ -616,23 +618,253 @@ def _weighted_accuracy(predicted, labels, weights) -> float:
     return float(((predicted == labels) * weights).sum() / total)
 
 
+class Booster:
+    """The state of one boosting run, advanced one round per ``step``.
+
+    A booster owns the raw scores of the training, test and monitored sets,
+    the current labels and weights, the probabilities and gradients that are
+    the next round's inputs, the DynamicsLog, the early stopper, the
+    per-round series and the ensemble. ``fork`` copies that state, so several
+    runs can continue from one trained prefix; ``result`` reports the run.
+    ``step`` trains one round and ``run`` steps on until the end.
+
+    Training scores are a prediction cache: each tree adds its leaf values to
+    the rows the grower put in each leaf, the same single addition per row
+    that ``Tree.predict`` gives, and only rows outside the fit (zero weight)
+    go through ``Tree.predict``. The test argmax of the best monitored round
+    is kept as training goes, so the final metrics need no second pass over
+    the test features.
+    """
+
+    def __init__(self, dataset: Dataset, config: BoostConfig, *,
+                 test: Dataset | None = None, monitor=None,
+                 initial_weights: np.ndarray | None = None):
+        config.validate()
+        n = len(dataset)
+        c = dataset.class_count
+        self.dataset = dataset
+        self.config = config
+        self.test = test
+        self.objective = resolve_objective(config.objective, c)
+        self.width = 1 if self.objective == "logistic" else c
+        features = dataset.features
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
+
+        self.labels = dataset.noisy_labels.astype(np.int64).copy()
+        self.weights = (np.ones(n) if initial_weights is None
+                        else np.asarray(initial_weights,
+                                        dtype=np.float64).copy())
+        if self.weights.shape != (n,):
+            raise ValueError("initial_weights must have one entry per instance")
+
+        self.ensemble = Ensemble(objective=self.objective, class_count=c,
+                                 feature_count=features.shape[1])
+        self.raw = self._start_scores(n)
+        self.raw_test = self.raw_mon = self.mon_features = None
+        if test is not None:
+            self.raw_test = self._start_scores(len(test))
+        if monitor == "test":
+            # the monitored loss is read off the test scores
+            if test is None:
+                raise ValueError('monitor="test" requires a test dataset')
+            self.mon_labels = test.clean_labels
+        elif monitor is not None:
+            self.mon_features, self.mon_labels = monitor
+            self.raw_mon = self._start_scores(len(self.mon_labels))
+        self.stopper = (EarlyStopper(config.early_stop_min_delta,
+                                     config.early_stop_patience)
+                        if monitor is not None else None)
+
+        fit_rows = np.flatnonzero(self.weights > 0)
+        self.method = _resolve_method(config.tree_method, fit_rows.size)
+        self.index = (Binner(features, config.max_bins, fit_rows=fit_rows)
+                      if self.method == "hist" else _presort(features))
+
+        self.dynamics = DynamicsLog(n, c, config.history_window)
+        self.series = {k: [] for k in ("train_logloss", "monitor_logloss",
+                                       "test_logloss", "train_accuracy",
+                                       "test_accuracy")}
+        self.pred_types = {"true_match": [], "noisy_match": [], "other": []}
+        self.has_noise = bool(
+            (dataset.clean_labels != dataset.noisy_labels).any())
+        self.stopped_early = False
+        self.rounds_trained = 0
+        self.best_test_predicted = None
+
+        self.probs = probabilities(self.raw, self.objective)
+        self.g, self.h = grad_hess(self.probs, self.labels, self.objective,
+                                   config.hessian_floor)
+
+    def _start_scores(self, m: int) -> np.ndarray:
+        shape = (m,) if self.width == 1 else (m, self.width)
+        return np.full(shape, self.ensemble.base_score)
+
+    @property
+    def done(self) -> bool:
+        return (self.stopped_early
+                or self.rounds_trained == self.config.n_rounds)
+
+    def run(self, callback=None, until: int | None = None) -> "Booster":
+        """Step until training ends, or until ``until`` rounds are trained."""
+        while not self.done and (until is None or self.rounds_trained < until):
+            self.step(callback)
+        return self
+
+    def step(self, callback=None) -> None:
+        """Train the next round.
+
+        Invoke ``callback`` once the warm-up has passed, fit one tree per
+        class to the gradients of the current labels and weights, then record
+        the post-update state in the DynamicsLog and evaluate the round.
+        """
+        if self.done:
+            raise RuntimeError("training has finished")
+        cfg, width, t = self.config, self.width, self.rounds_trained
+        if callback is not None and t >= cfg.warmup_rounds:
+            if callback(t, self.dynamics, self.labels, self.weights,
+                        self.dataset.instance_ids):
+                self.g, self.h = grad_hess(self.probs, self.labels,
+                                           self.objective, cfg.hessian_floor)
+
+        fitted = self.weights > 0
+        rows = np.flatnonzero(fitted)
+        if rows.size == 0:
+            raise TrainingDivergedError("every instance weight is zero")
+        unfitted = np.flatnonzero(~fitted)
+        features = self.dataset.features
+        held_out = []
+        if self.raw_test is not None:
+            held_out.append((self.test.features, self.raw_test))
+        if self.raw_mon is not None:
+            held_out.append((self.mon_features, self.raw_mon))
+        trees = []
+        g_cols, h_cols = self.g.reshape(-1, width), self.h.reshape(-1, width)
+        for k in range(width):
+            tree, leaf_of_row = _fit_tree(features, g_cols[:, k] * self.weights,
+                                          h_cols[:, k] * self.weights, rows,
+                                          cfg, self.index)
+            trees.append(tree)
+            update = tree.value[leaf_of_row]
+            if unfitted.size:
+                update[unfitted] = tree.predict(features[unfitted])
+            self.raw.reshape(-1, width)[:, k] += update
+            for x, scores in held_out:
+                scores.reshape(-1, width)[:, k] += tree.predict(x)
+        self.ensemble.rounds.append(trees)
+        self.rounds_trained = t + 1
+        self._evaluate(t)
+
+    def _evaluate(self, t: int) -> None:
+        """Record round ``t``'s post-update state, its series values and the
+        early-stopping decision; the new gradients are the next inputs."""
+        objective, series, raw = self.objective, self.series, self.raw
+        self.probs = probs = probabilities(raw, objective)
+        self.g, self.h = grad_hess(probs, self.labels, objective,
+                                   self.config.hessian_floor)
+        predicted = probs.argmax(axis=1)
+        self.dynamics.record(
+            EpochRecord(round=t,
+                        logits=(expand_logits(raw, objective)
+                                if self.width == 1 else raw.copy()),
+                        probs=probs,
+                        predicted=predicted,
+                        max_abs_gradient=(np.abs(self.g) if self.width == 1
+                                          else np.abs(self.g).max(axis=1))),
+            self.labels)
+
+        train_loss = _weighted_mean_logloss(probs, self.labels, self.weights)
+        if not np.isfinite(train_loss):
+            raise TrainingDivergedError(
+                f"round {t}: training loss became non-finite")
+        series["train_logloss"].append(train_loss)
+        series["train_accuracy"].append(
+            _weighted_accuracy(predicted, self.labels, self.weights))
+
+        test_predicted = None
+        if self.test is not None:
+            test_probs = probabilities(self.raw_test, objective)
+            test_predicted = test_probs.argmax(axis=1)
+            series["test_logloss"].append(float(
+                _logloss_terms(test_probs, self.test.clean_labels).mean()))
+            series["test_accuracy"].append(float(
+                (test_predicted == self.test.clean_labels).mean()))
+
+        if self.has_noise:
+            counts = prediction_type_counts(predicted,
+                                            self.dataset.clean_labels,
+                                            self.dataset.noisy_labels)
+            for key, val in counts.items():
+                self.pred_types[key].append(val)
+
+        if self.stopper is not None:
+            mon_probs = (test_probs if self.raw_mon is None
+                         else probabilities(self.raw_mon, objective))
+            monitor_loss = _summed_logloss(mon_probs, self.mon_labels)
+            if not np.isfinite(monitor_loss):
+                raise TrainingDivergedError(
+                    f"round {t}: monitored loss became non-finite")
+            series["monitor_logloss"].append(monitor_loss)
+            self.stopped_early = self.stopper.update(t, monitor_loss)
+        if self.stopper is None or self.stopper.best_round == t:
+            self.best_test_predicted = test_predicted
+
+    def fork(self) -> "Booster":
+        """A copy that trains on independently of this booster.
+
+        Mutable state is copied. Read-only state is shared: the datasets, the
+        presort or Binner, the trees, the probabilities and gradients (each
+        round replaces them) and the recorded EpochRecords.
+        """
+        other = copy.copy(self)
+        for name in ("raw", "raw_test", "raw_mon", "labels", "weights"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(other, name, value.copy())
+        other.dynamics = self.dynamics.copy()
+        other.stopper = copy.copy(self.stopper)
+        other.series = {k: list(v) for k, v in self.series.items()}
+        other.pred_types = {k: list(v) for k, v in self.pred_types.items()}
+        other.ensemble = replace(self.ensemble,
+                                 rounds=list(self.ensemble.rounds))
+        return other
+
+    def result(self) -> TrainResult:
+        """The ensemble truncated to the best monitored round (the last round
+        without monitoring), the DynamicsLog and the run's report."""
+        best_round = (self.stopper.best_round if self.stopper is not None
+                      else self.rounds_trained - 1)
+        report = RunReport(
+            config=asdict(self.config) | {
+                "objective_resolved": self.objective,
+                "tree_method_resolved": self.method},
+            rounds_trained=self.rounds_trained,
+            best_round=best_round,
+            stopped_early=self.stopped_early,
+            series={k: v for k, v in self.series.items() if v},
+            prediction_types=self.pred_types,
+        )
+        if self.test is not None:
+            report.final = classification_metrics(
+                self.best_test_predicted, self.test.clean_labels,
+                self.dataset.class_count).as_dict()
+        return TrainResult(ensemble=self.ensemble.truncated(best_round + 1),
+                           dynamics=self.dynamics, report=report)
+
+
 def train(dataset: Dataset, config: BoostConfig, callback=None, *,
           test: Dataset | None = None, monitor=None,
           initial_weights: np.ndarray | None = None) -> TrainResult:
-    """Boost for up to ``config.n_rounds`` rounds.
+    """Boost for up to ``config.n_rounds`` rounds: a ``Booster`` run to the
+    end.
 
-    Per round: invoke the correction callback once the warm-up has passed,
-    fit one tree per class to the gradients of the current labels and
-    weights, then record the post-update state in the DynamicsLog and
-    evaluate the round. The post-update probabilities and gradients are the
-    next round's inputs.
-
-    ``callback(round, dynamics, labels, weights, instance_ids)`` may zero
-    entries of ``weights`` or rewrite ``labels`` in place; both take effect in
-    that round's tree fit. It returns whether it changed any label, and the
-    trainer then recomputes the gradients. The trainer never sees the noise
-    mask: scoring the callback's flags and corrections against the injected
-    noise is left to the caller (``experiment.run_cell``).
+    ``callback(round, dynamics, labels, weights, instance_ids)`` is invoked
+    once per round after the warm-up. It may zero entries of ``weights`` or
+    rewrite ``labels`` in place; both take effect in that round's tree fit.
+    It returns whether it changed any label, and the trainer then recomputes
+    the gradients. The trainer never sees the noise mask: scoring the
+    callback's flags and corrections against the injected noise is left to
+    the caller (``experiment.run_group``).
 
     ``monitor`` selects early stopping: None disables it, "test" monitors the
     summed log-loss on the clean test set, and an (features, labels) pair
@@ -640,144 +872,5 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
     monitored round.
     """
     config.validate(with_callback=callback is not None)
-    n = len(dataset)
-    c = dataset.class_count
-    objective = resolve_objective(config.objective, c)
-    width = 1 if objective == "logistic" else c
-    features = dataset.features
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
-
-    labels = dataset.noisy_labels.astype(np.int64).copy()
-    weights = (np.ones(n) if initial_weights is None
-               else np.asarray(initial_weights, dtype=np.float64).copy())
-    if weights.shape != (n,):
-        raise ValueError("initial_weights must have one entry per instance")
-
-    ensemble = Ensemble(objective=objective, class_count=c,
-                        feature_count=features.shape[1])
-
-    def start_scores(m: int) -> np.ndarray:
-        return np.full((m,) if width == 1 else (m, c), ensemble.base_score)
-
-    # every (features, raw scores) pair gains each tree's predictions
-    raw = start_scores(n)
-    tracked = [(features, raw)]
-    raw_test = raw_mon = None
-    if test is not None:
-        raw_test = start_scores(len(test))
-        tracked.append((test.features, raw_test))
-    if monitor == "test":
-        # the monitored loss is read off the test scores
-        if test is None:
-            raise ValueError('monitor="test" requires a test dataset')
-        mon_labels = test.clean_labels
-    elif monitor is not None:
-        mon_features, mon_labels = monitor
-        raw_mon = start_scores(len(mon_labels))
-        tracked.append((mon_features, raw_mon))
-    stopper = (EarlyStopper(config.early_stop_min_delta,
-                            config.early_stop_patience)
-               if monitor is not None else None)
-
-    fit_rows = np.flatnonzero(weights > 0)
-    method = _resolve_method(config.tree_method, fit_rows.size)
-    index = (Binner(features, config.max_bins, fit_rows=fit_rows)
-             if method == "hist" else _presort(features))
-
-    dyn = DynamicsLog(n, c, config.history_window)
-    series = {k: [] for k in ("train_logloss", "monitor_logloss",
-                              "test_logloss", "train_accuracy",
-                              "test_accuracy")}
-    pred_types = {"true_match": [], "noisy_match": [], "other": []}
-    has_noise = bool((dataset.clean_labels != dataset.noisy_labels).any())
-    stopped_early = False
-    rounds_trained = 0
-
-    probs = probabilities(raw, objective)
-    g, h = grad_hess(probs, labels, objective, config.hessian_floor)
-    for t in range(config.n_rounds):
-        if callback is not None and t >= config.warmup_rounds:
-            if callback(t, dyn, labels, weights, dataset.instance_ids):
-                g, h = grad_hess(probs, labels, objective,
-                                 config.hessian_floor)
-
-        rows = np.flatnonzero(weights > 0)
-        if rows.size == 0:
-            raise TrainingDivergedError("every instance weight is zero")
-        trees = []
-        g_cols, h_cols = g.reshape(-1, width), h.reshape(-1, width)
-        for k in range(width):
-            tree = _fit_tree(features, g_cols[:, k] * weights,
-                             h_cols[:, k] * weights, rows, config, index)
-            trees.append(tree)
-            for x, scores in tracked:
-                scores.reshape(-1, width)[:, k] += tree.predict(x)
-        ensemble.rounds.append(trees)
-        rounds_trained = t + 1
-
-        probs = probabilities(raw, objective)
-        g, h = grad_hess(probs, labels, objective, config.hessian_floor)
-        predicted = probs.argmax(axis=1)
-        dyn.record(EpochRecord(round=t,
-                               logits=(expand_logits(raw, objective)
-                                       if width == 1 else raw.copy()),
-                               probs=probs,
-                               predicted=predicted,
-                               max_abs_gradient=(np.abs(g) if width == 1
-                                                 else np.abs(g).max(axis=1))),
-                   labels)
-
-        train_loss = _weighted_mean_logloss(probs, labels, weights)
-        if not np.isfinite(train_loss):
-            raise TrainingDivergedError(
-                f"round {t}: training loss became non-finite")
-        series["train_logloss"].append(train_loss)
-        series["train_accuracy"].append(
-            _weighted_accuracy(predicted, labels, weights))
-
-        if test is not None:
-            test_probs = probabilities(raw_test, objective)
-            series["test_logloss"].append(float(
-                _logloss_terms(test_probs, test.clean_labels).mean()))
-            series["test_accuracy"].append(float(
-                (test_probs.argmax(axis=1) == test.clean_labels).mean()))
-
-        if has_noise:
-            counts = prediction_type_counts(predicted, dataset.clean_labels,
-                                            dataset.noisy_labels)
-            for key, val in counts.items():
-                pred_types[key].append(val)
-
-        if stopper is not None:
-            mon_probs = (test_probs if raw_mon is None
-                         else probabilities(raw_mon, objective))
-            monitor_loss = _summed_logloss(mon_probs, mon_labels)
-            if not np.isfinite(monitor_loss):
-                raise TrainingDivergedError(
-                    f"round {t}: monitored loss became non-finite")
-            series["monitor_logloss"].append(monitor_loss)
-            if stopper.update(t, monitor_loss):
-                stopped_early = True
-                break
-
-    best_round = stopper.best_round if stopper is not None else rounds_trained - 1
-    final_ensemble = ensemble.truncated(best_round + 1)
-
-    report = RunReport(
-        config=asdict(config) | {"objective_resolved": objective,
-                                 "tree_method_resolved": method},
-        rounds_trained=rounds_trained,
-        best_round=best_round,
-        stopped_early=stopped_early,
-        series={k: v for k, v in series.items() if v},
-        prediction_types=pred_types if has_noise else
-        {k: [] for k in pred_types},
-    )
-
-    if test is not None:
-        final_pred = final_ensemble.predict_class(test.features)
-        report.final = classification_metrics(final_pred, test.clean_labels,
-                                              c).as_dict()
-
-    return TrainResult(ensemble=final_ensemble, dynamics=dyn, report=report)
+    return Booster(dataset, config, test=test, monitor=monitor,
+                   initial_weights=initial_weights).run(callback).result()

@@ -88,7 +88,7 @@ class RunReport:
     noise_rate: float = 0.0
     detection: str = "none"
     correction: str = "none"
-    seed: int = 0
+    seed: int | None = None  # the trial seed, when set
     config: dict = field(default_factory=dict)
     rounds_trained: int = 0
     best_round: int = 0
@@ -97,6 +97,7 @@ class RunReport:
     series: dict = field(default_factory=dict)
     prediction_types: dict = field(default_factory=dict)
     detector_series: dict = field(default_factory=dict)
+    detector_peaks: dict = field(default_factory=dict)
     evaluation: dict = field(default_factory=dict)
     final: dict = field(default_factory=dict)
     correction_summary: dict = field(default_factory=dict)

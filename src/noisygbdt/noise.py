@@ -8,7 +8,6 @@ transition matrices applied independently per training instance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +49,6 @@ class TransitionMatrix:
             raise NoiseError("transition probabilities must lie in [0, 1]")
         if np.abs(s.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise NoiseError("transition matrix rows must sum to 1")
-
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"to_{j}" for j in range(self.class_count)])
-            for row in self.entries:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 def symmetric_matrix(class_count: int, rate: float) -> TransitionMatrix:
@@ -111,9 +103,3 @@ def inject(labels: np.ndarray, matrix: TransitionMatrix,
     noisy = np.minimum(noisy, c - 1).astype(np.int64)
     return noisy, noisy != labels
 
-
-def empirical_rate(noise_mask: np.ndarray) -> float:
-    mask = np.asarray(noise_mask, dtype=bool)
-    if mask.size == 0:
-        raise NoiseError("empty noise mask")
-    return float(mask.mean())

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from noisygbdt.correct import NoiseHandler
-from noisygbdt.experiment import ExperimentConfig, prepare_data, run_cell
+from noisygbdt.experiment import (ExperimentConfig, prepare_data, run_cell,
+                                  run_group)
 from noisygbdt.gbdt import BoostConfig, train
 from noisygbdt.metrics_report import tables_rows
 
@@ -356,17 +357,19 @@ def cover_grid():
         boost=BoostConfig(n_rounds=60, warmup_rounds=15),
         monitor="clean_test", seed=SEED, out_dir="unused")
     train_ds, test_ds = prepare_data(cfg, SEED)
+    detectors = ("aum", "confcorr", "gradients", "lrt")
+    # one group per rate: each trains its warm-up once and forks the cells
+    groups = {rate: [(det, "remove") for det in detectors]
+              for rate in (0.1, 0.2)}
+    groups[0.3] = [(None, "none")] + [(det, corr) for det in detectors
+                                      for corr in ("remove", "relabel")]
     cells = {}
-    for rate in (0.1, 0.2):
-        for det in ("aum", "confcorr", "gradients", "lrt"):
-            cells[(rate, det, "remove")] = run_cell(
-                cfg, train_ds, test_ds, "pair", rate, det, "remove", SEED)
-    cells[(0.3, None, "none")] = run_cell(cfg, train_ds, test_ds, "pair",
-                                          0.3, None, "none", SEED)
-    for det in ("aum", "confcorr", "gradients", "lrt"):
-        for corr in ("remove", "relabel"):
-            cells[(0.3, det, corr)] = run_cell(cfg, train_ds, test_ds,
-                                               "pair", 0.3, det, corr, SEED)
+    for rate, group in groups.items():
+        reports = run_group(cfg, train_ds, test_ds, "pair", rate, group, SEED)
+        for (det, corr), report in zip(group, reports):
+            if isinstance(report, Exception):
+                raise report
+            cells[(rate, det, corr)] = report
     return cells
 
 

@@ -165,7 +165,7 @@ class TestNoiseHandler:
         handler = NoiseHandler(detectors=("aum",), mode="remove")
         train(ds, BoostConfig(n_rounds=20, warmup_rounds=15), handler)
         assert handler.state.removed_count > 0
-        series, _, _ = detection_report(handler.flag_rounds, handler.events,
+        series, _, _, _ = detection_report(handler.flag_rounds, handler.events,
                                         ds.noise_mask, best_round=19)
         assert series["aum"]["flagged_count"][0] > 0
 

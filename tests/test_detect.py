@@ -10,7 +10,6 @@ from noisygbdt import noise
 from noisygbdt.detect import (ALL_METHODS, FixedPolicy, GmmPolicy,
                               QuantilePolicy, aum_scores, confcorr_scores,
                               detection_metrics, detection_report,
-                              estimated_noise_rate,
                               fit_gmm_1d, gmm_decision_threshold,
                               gradient_scores, lrt_scores, parse_policy,
                               score_all, threshold)
@@ -110,7 +109,6 @@ class TestConfCorr:
         log = fill_log(rounds, labels)
         stats, scores = confcorr_scores(log, ids(2))
         assert np.allclose(stats.confidence, 1.0)
-        assert np.allclose(stats.variability, 0.0)
         assert np.allclose(stats.correctness, 1.0)
         assert np.allclose(scores.scores, 1.0)
         assert not scores.flagged.any()  # identical confident scores
@@ -140,7 +138,6 @@ class TestConfCorr:
         log = fill_log(rounds, labels)
         stats, _ = confcorr_scores(log, ids(n))
         assert (stats.confidence >= 0).all() and (stats.confidence <= 1).all()
-        assert (stats.variability <= 0.5 + 1e-12).all()
         gamma_steps = stats.correctness * 11
         assert np.abs(gamma_steps - np.round(gamma_steps)).max() <= 1e-9
 
@@ -316,7 +313,7 @@ class TestDetectionReport:
 
     def test_series_match_detection_metrics(self):
         flag_rounds = self.flag_rounds([3, 4, 5])
-        series, _, _ = detection_report(flag_rounds, [], self.MASK, 5)
+        series, _, _, _ = detection_report(flag_rounds, [], self.MASK, 5)
         assert list(series) == ["a", "b"]
         assert series["a"]["round"] == [3, 4, 5]
         for i, (_, flags) in enumerate(flag_rounds):
@@ -328,7 +325,7 @@ class TestDetectionReport:
         assert series["b"]["flagged_count"] == [0, 0, 0]
 
     def test_early_stop_inside_detection_rounds(self):
-        _, evaluation, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
+        _, evaluation, _, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
                                             self.MASK, 4)
         first = evaluation["first_after_warmup"]
         assert first["round"] == 3 and first["methods"]["a"]["round"] == 3
@@ -342,24 +339,31 @@ class TestDetectionReport:
     def test_early_stop_before_detection_rounds(self):
         # the best round precedes the warm-up's end: evaluate at the first
         # detection round
-        _, evaluation, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
+        _, evaluation, _, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
                                             self.MASK, 1)
         stop = evaluation["early_stop"]
         assert stop["round"] == 3 and stop["methods"]["a"]["round"] == 3
 
     def test_early_stop_after_detection_rounds(self):
-        _, evaluation, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
+        _, evaluation, _, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
                                             self.MASK, 9)
         stop = evaluation["early_stop"]
         assert stop["round"] == 9 and stop["methods"]["a"]["round"] == 5
 
     def test_early_stop_between_detection_rounds(self):
-        _, evaluation, _ = detection_report(self.flag_rounds([3, 6]), [],
+        _, evaluation, _, _ = detection_report(self.flag_rounds([3, 6]), [],
                                             self.MASK, 4)
         assert evaluation["early_stop"]["methods"]["a"]["round"] == 6
 
+    def test_peak_flagged_fraction_and_its_round(self):
+        _, _, peaks, _ = detection_report(self.flag_rounds([2, 3, 4, 7]), [],
+                                          self.MASK, 5)
+        # "a" flags 3, 4, 1 and 4 of 4 rows; the first peak round wins
+        assert peaks == {"a": {"flagged_fraction": 1.0, "round": 3},
+                         "b": {"flagged_fraction": 0.0, "round": 2}}
+
     def test_no_detectors_no_evaluation(self):
-        series, evaluation, _ = detection_report([(3, {}), (4, {})], [],
+        series, evaluation, _, _ = detection_report([(3, {}), (4, {})], [],
                                                  self.MASK, 4)
         assert series == {} and evaluation == {}
 
@@ -367,20 +371,10 @@ class TestDetectionReport:
         events = [{"round": 3, "instance_id": 0, "action": "remove"},
                   {"round": 3, "instance_id": 1, "action": "relabel"},
                   {"round": 3, "instance_id": -1, "action": "budget_hit"}]
-        _, _, tagged = detection_report([], events, self.MASK, 3)
+        _, _, _, tagged = detection_report([], events, self.MASK, 3)
         assert [ev.get("was_actually_noisy") for ev in tagged] == [
             True, False, None]
         assert "was_actually_noisy" not in events[0]
-
-
-class TestEstimatedRate:
-    def test_values(self):
-        assert estimated_noise_rate(np.zeros(5, bool)) == 0.0
-        assert estimated_noise_rate(np.ones(5, bool)) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimated_noise_rate(np.array([], bool))
 
 
 class TestCleanSeparableNoFalseAlarms:

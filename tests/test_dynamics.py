@@ -50,17 +50,15 @@ class TestAccumulators:
         for t in range(4):
             log.record(make_record(t, [[0.0, 1.0]]), labels)
         assert log.confidence()[0] == pytest.approx(1.0)
-        assert log.variability()[0] == pytest.approx(0.0)
         assert log.correctness()[0] == pytest.approx(1.0)
 
-    def test_confidence_and_variability_values(self):
+    def test_confidence_values(self):
         # label-probability sequence 0.9, 0.8, 0.7, 0.6, 0.5
         log = DynamicsLog(1, 2)
         labels = np.array([1])
         for t, p in enumerate([0.9, 0.8, 0.7, 0.6, 0.5]):
             log.record(make_record(t, [[1 - p, p]]), labels)
         assert log.confidence()[0] == pytest.approx(0.7)
-        assert log.variability()[0] == pytest.approx(np.sqrt(0.02))
 
     def test_correctness_counts_matches(self):
         log = DynamicsLog(1, 2)
@@ -86,10 +84,8 @@ class TestAccumulators:
         p_seq = np.stack([r.probs[np.arange(n), labels] for r in history])
         pred_seq = np.stack([r.predicted for r in history])
         mu = p_seq.mean(axis=0)
-        sigma = p_seq.std(axis=0)  # population
         gamma = (pred_seq == labels).mean(axis=0)
         assert np.abs(log.confidence() - mu).max() <= 1e-12
-        assert np.abs(log.variability() - sigma).max() <= 1e-12
         assert np.abs(log.correctness() - gamma).max() <= 1e-12
 
     def test_label_change_applies_from_that_round_forward(self):
@@ -106,14 +102,3 @@ class TestAccumulators:
         with pytest.raises(ValueError):
             log.latest()
 
-
-def test_dump_csv(tmp_path):
-    log = DynamicsLog(2, 2, window=3)
-    labels = np.array([0, 1])
-    for t in range(2):
-        log.record(make_record(t, [[0.6, 0.4], [0.3, 0.7]]), labels)
-    path = tmp_path / "dyn.csv"
-    log.dump_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 2 * 2  # header + rounds x instances
-    assert lines[0].split(",")[:2] == ["round", "instance_id"]

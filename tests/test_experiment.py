@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 import yaml
 
-from noisygbdt import noise
+from noisygbdt import experiment, noise
+from noisygbdt.correct import NoiseHandler
 from noisygbdt.data_ingest import SplitSpec
 from noisygbdt.experiment import (ExperimentConfig, ExperimentError,
                                   config_from_dict, derive_seed, load_config,
-                                  prepare_data, run_cell, run_stage1,
-                                  run_stage2, run_stage3)
+                                  prepare_data, run_cell, run_group,
+                                  run_stage1, run_stage2, run_stage3)
 from noisygbdt.gbdt import BoostConfig
 from noisygbdt.metrics_report import load_report
 
@@ -202,6 +203,101 @@ class TestStages:
         assert row["note"].endswith(f"std={float(np.std(best)):.2f}")
 
 
+def _comparable(report):
+    return {k: v for k, v in report.to_dict().items() if k != "created_at"}
+
+
+class TestGroups:
+    CELLS = [(None, "none"), ("aum", "relabel"), ("lrt", "remove"),
+             ("confcorr", "relabel"), ("gradients", "remove")]
+
+    @pytest.mark.parametrize("monitor", ["clean_test", "noisy_val"])
+    def test_forked_cells_equal_independent_cells(self, tmp_path, monitor):
+        cfg = tiny_config(tmp_path, monitor=monitor,
+                          boost=BoostConfig(n_rounds=22, warmup_rounds=15))
+        train_ds, test_ds = prepare_data(cfg, cfg.seed)
+        group = run_group(cfg, train_ds, test_ds, "pair", 0.3, self.CELLS,
+                          cfg.seed)
+        for (det, corr), report in zip(self.CELLS, group):
+            alone = run_cell(cfg, train_ds, test_ds, "pair", 0.3, det, corr,
+                             cfg.seed)
+            assert _comparable(report) == _comparable(alone), (det, corr)
+        relabeled = [ev for r in group for ev in r.correction_events
+                     if ev["action"] == "relabel"
+                     and ev["old_label"] != ev["new_label"]]
+        assert relabeled
+
+    def test_early_stop_inside_warmup_gives_the_prefix(self, tmp_path):
+        cfg = tiny_config(tmp_path, boost=BoostConfig(
+            n_rounds=22, warmup_rounds=15, early_stop_patience=1,
+            early_stop_min_delta=1e9))
+        train_ds, test_ds = prepare_data(cfg, cfg.seed)
+        group = run_group(cfg, train_ds, test_ds, "pair", 0.3, self.CELLS,
+                          cfg.seed)
+        keep = ("series", "final", "rounds_trained", "best_round")
+        for report in group:
+            assert report.rounds_trained == 2 and report.stopped_early
+            assert report.correction_events == []
+            assert ({k: getattr(report, k) for k in keep}
+                    == {k: getattr(group[0], k) for k in keep})
+
+    def test_jobs_do_not_change_reports(self, tmp_path):
+        one = tiny_config(tmp_path / "a", noise_rates=(0.2, 0.3),
+                          detectors=("aum", "confcorr"))
+        two = tiny_config(tmp_path / "b", noise_rates=(0.2, 0.3),
+                          detectors=("aum", "confcorr"), jobs=2)
+
+        def key(report):
+            d = _comparable(report)
+            d["config"]["experiment"].update(out_dir="", jobs=0)
+            return d
+        first = [key(r) for r in run_stage2(one)]
+        assert len(first) == 10
+        assert first == [key(r) for r in run_stage2(two)]
+
+    def test_failing_cell_leaves_error_and_the_rest(self, tmp_path,
+                                                    monkeypatch):
+        class Failing(NoiseHandler):
+            def __call__(self, round_index, *args):
+                if self.detectors == ("aum",) and self.mode == "remove":
+                    raise RuntimeError("injected failure")
+                return super().__call__(round_index, *args)
+
+        monkeypatch.setattr(experiment, "NoiseHandler", Failing)
+        cfg = tiny_config(tmp_path, noise_rates=(0.3,))
+        reports = run_stage2(cfg)
+        assert len(reports) == 8
+        root = tmp_path / "runs" / "stage2" / cfg.dataset / "pair_0.30"
+        assert len(list(root.glob("*/report.json"))) == 8
+        (error,) = root.glob("*/error.txt")
+        assert error.parent.name == "remove_aum"
+        assert "RuntimeError: injected failure" in error.read_text()
+        # stage 3 tabulates the cells that succeeded
+        combos = {(r["correction"], r["detection"])
+                  for r in run_stage3(cfg)["classification"]}
+        assert len(combos) == 8 and ("remove", "aum") not in combos
+        # a later run that succeeds replaces the error with a report
+        monkeypatch.setattr(experiment, "NoiseHandler", NoiseHandler)
+        assert len(run_stage2(cfg)) == 9
+        assert not list(root.glob("*/error.txt"))
+
+    def test_failing_prefix_fails_every_cell_of_its_group(self, tmp_path,
+                                                          monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no warm-up")
+
+        monkeypatch.setattr(experiment, "Booster", broken)
+        cfg = tiny_config(tmp_path, noise_rates=(0.3,),
+                          detectors=("lrt",), corrections=("remove",))
+        assert run_stage2(cfg) == []
+        root = tmp_path / "runs" / "stage2" / cfg.dataset / "pair_0.30"
+        assert sorted(p.parent.name for p in root.glob("*/error.txt")) == [
+            "none_none", "remove_lrt"]
+        with pytest.raises(RuntimeError, match="no warm-up"):
+            run_cell(cfg, *prepare_data(cfg, cfg.seed), "pair", 0.3, None,
+                     "none", cfg.seed)
+
+
 class TestPrepareData:
     def test_breast_cancer_builtin(self, tmp_path):
         cfg = ExperimentConfig(dataset="breast_cancer",
@@ -279,6 +375,27 @@ class TestCli:
                        env_extra={"NOISYGBDT_OUT": str(alt)})
         assert proc.returncode == 0, proc.stderr
         assert (alt / "stage1").exists()
+
+    def test_every_noise_kind_tabulated(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, noise_kinds=["pair", "symmetric"],
+                             detectors=["lrt"], corrections=["remove"])
+        proc = run_cli(["run", "--config", str(cfg)])
+        assert proc.returncode == 0, proc.stderr
+        stage3 = tmp_path / "runs" / "stage3" / "dry_bean_like"
+        for kind in ("pair", "symmetric"):
+            with open(stage3 / kind / "detection_tables.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["noise_kind"] for r in rows] == [kind]
+
+    def test_failed_cells_exit_nonzero(self, tmp_path):
+        # the policy is parsed at the first detection round, after warm-up
+        cfg = self.write_cfg(tmp_path, threshold_policy="bogus")
+        proc = run_cli(["run", "--config", str(cfg), "--stage", "1"])
+        assert proc.returncode == 1
+        assert "1 cells failed" in proc.stderr
+        error = (tmp_path / "runs" / "stage1" / "dry_bean_like" / "pair_0.20"
+                 / "none_none" / "error.txt")
+        assert "unknown threshold policy" in error.read_text()
 
     def test_missing_config_errors(self, tmp_path):
         proc = run_cli(["run", "--config", str(tmp_path / "nope.yaml")])

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import blob_dataset, make_dataset, threshold_dataset
 from noisygbdt import noise
+from noisygbdt.correct import NoiseHandler
 from noisygbdt.experiment import ExperimentConfig, prepare_data
-from noisygbdt.gbdt import (BoostConfig, EarlyStopper, Ensemble,
+from noisygbdt.metrics_report import classification_metrics
+from noisygbdt.gbdt import (BoostConfig, Booster, EarlyStopper, Ensemble,
                             TrainingDivergedError, Tree, _ExactSplitter,
                             _midpoint, _presort, _split_gains, build_tree,
-                            grad_hess, leaf_value, load_model, predict,
-                            probabilities, save_model, train)
+                            grad_hess, leaf_value, predict, probabilities,
+                            train)
 
 
 class TestProbabilities:
@@ -401,6 +403,139 @@ class TestTrain:
             train(separable, cfg, lambda *a: False)
 
 
+    def test_direct_call_leaves_the_seed_unset(self, separable):
+        report = train(separable, BoostConfig(n_rounds=3)).report
+        assert report.seed is None
+
+
+def _noisy_blobs(seed=2):
+    """A 3-class blob split with 30% pair noise on its training part."""
+    ds = blob_dataset(n=300, classes=3, seed=seed, separation=1.5)
+    rows = np.arange(len(ds))
+    train_ds, test_ds = ds.take(rows[:200]), ds.take(rows[200:])
+    noisy, _ = noise.inject(train_ds.clean_labels,
+                            noise.pair_matrix(3, 0.3), seed=3)
+    return train_ds.with_noise(noisy), test_ds
+
+
+class TestBooster:
+    @pytest.mark.parametrize("method", ["exact", "hist"])
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_cached_scores_equal_tree_predict_sums(self, method, classes):
+        # zero initial weights plus a removal each round: the cached training
+        # scores must equal summing Tree.predict over the ensemble, bit for bit
+        ds = blob_dataset(n=240, classes=classes, seed=5, separation=1.0)
+        weights = np.ones(len(ds))
+        weights[::9] = 0.0
+        cfg = BoostConfig(n_rounds=12, warmup_rounds=3, tree_method=method,
+                          max_bins=16)
+
+        def remove_some(t, dynamics, labels, w, ids):
+            w[(ids * 7 + t) % 23 == 0] = 0.0
+            return False
+
+        booster = Booster(ds, cfg, initial_weights=weights)
+        while not booster.done:
+            booster.step(remove_some)
+            expected = booster.ensemble.raw_scores(ds.features)
+            assert np.array_equal(booster.raw, expected)
+        assert (booster.weights == 0).sum() > (weights == 0).sum()
+
+    def test_final_metrics_read_off_the_best_round(self):
+        train_ds, test_ds = _noisy_blobs()
+        cfg = BoostConfig(n_rounds=25, warmup_rounds=5, early_stop_patience=3)
+        res = train(train_ds, cfg, test=test_ds, monitor="test")
+        assert res.report.stopped_early
+        assert res.report.best_round < res.report.rounds_trained - 1
+        again = classification_metrics(
+            res.ensemble.predict(test_ds.features)[1].argmax(axis=1),
+            test_ds.clean_labels, 3).as_dict()
+        assert res.report.final == again
+
+    @staticmethod
+    def _forked_and_independent(ds, test, cfg, monitor, handlers):
+        """Per handler factory: (forked run, independent run), each as
+        (ensemble dict, report dict, events, flag rounds)."""
+        prefix = Booster(ds, cfg, test=test, monitor=monitor).run(
+            until=cfg.warmup_rounds)
+
+        def outcome(res, handler):
+            return (res.ensemble.to_dict(), res.report.to_dict(),
+                    handler.events,
+                    [(t, {m: f.tolist() for m, f in flags.items()})
+                     for t, flags in handler.flag_rounds])
+
+        pairs = []
+        for make in handlers:
+            handler = make()
+            forked = outcome(prefix.fork().run(handler).result(), handler)
+            handler = make()
+            independent = outcome(train(ds, cfg, handler, test=test,
+                                        monitor=monitor), handler)
+            pairs.append((forked, independent))
+        return pairs
+
+    @pytest.mark.parametrize("monitor", ["test", "pair", None])
+    def test_fork_equals_independent_run(self, monitor):
+        train_ds, test_ds = _noisy_blobs()
+        if monitor == "pair":
+            monitor = (test_ds.features, test_ds.clean_labels)
+        cfg = BoostConfig(n_rounds=22, warmup_rounds=8, early_stop_patience=6,
+                          early_stop_min_delta=0.05)
+        handlers = [lambda: NoiseHandler(mode="none"),
+                    lambda: NoiseHandler(detectors=("aum",), mode="relabel"),
+                    lambda: NoiseHandler(detectors=("lrt",), mode="remove"),
+                    lambda: NoiseHandler(detectors=("confcorr",),
+                                         mode="relabel")]
+        pairs = self._forked_and_independent(train_ds, test_ds, cfg, monitor,
+                                             handlers)
+        for forked, independent in pairs:
+            assert forked == independent
+        # the relabel cells really change labels, so the forks diverge
+        changed = [sum(ev["old_label"] != ev["new_label"] for ev in f[2]
+                       if ev["action"] == "relabel") for f, _ in pairs]
+        assert changed[1] > 0 and changed[3] > 0
+        assert pairs[1][0][0] != pairs[0][0][0]
+
+    def test_early_stop_inside_warmup_every_fork_is_the_prefix(self):
+        train_ds, test_ds = _noisy_blobs()
+        cfg = BoostConfig(n_rounds=20, warmup_rounds=10, early_stop_patience=1,
+                          early_stop_min_delta=1e9)
+        handlers = [lambda: NoiseHandler(mode="none"),
+                    lambda: NoiseHandler(detectors=("aum",), mode="relabel")]
+        pairs = self._forked_and_independent(train_ds, test_ds, cfg, "test",
+                                             handlers)
+        (base, base_ind), (relabel, relabel_ind) = pairs
+        assert base == base_ind and relabel == relabel_ind
+        assert base == relabel
+        assert base[1]["rounds_trained"] == 2 and base[1]["stopped_early"]
+        assert base[3] == []
+
+    def test_fork_leaves_the_prefix_untouched(self):
+        train_ds, test_ds = _noisy_blobs()
+        cfg = BoostConfig(n_rounds=12, warmup_rounds=6)
+        prefix = Booster(train_ds, cfg, test=test_ds, monitor="test").run(
+            until=6)
+        before = (prefix.raw.copy(), prefix.raw_test.copy(),
+                  prefix.labels.copy(), prefix.dynamics.sum_label_prob.copy(),
+                  len(prefix.ensemble.rounds), len(prefix.dynamics.window))
+        fork = prefix.fork().run(NoiseHandler(detectors=("aum",),
+                                              mode="relabel"))
+        assert np.array_equal(before[0], prefix.raw)
+        assert np.array_equal(before[1], prefix.raw_test)
+        assert np.array_equal(before[2], prefix.labels)
+        assert np.array_equal(before[3], prefix.dynamics.sum_label_prob)
+        assert before[4:] == (len(prefix.ensemble.rounds),
+                              len(prefix.dynamics.window))
+        assert prefix.rounds_trained == 6 and fork.rounds_trained == 12
+
+    def test_step_after_the_end_rejected(self, separable):
+        booster = Booster(separable, BoostConfig(n_rounds=1))
+        booster.step()
+        with pytest.raises(RuntimeError, match="finished"):
+            booster.step()
+
+
 class TestPredictAndSerialize:
     def test_empty_ensemble_uniform(self):
         ens = Ensemble(objective="softprob", class_count=4, feature_count=2)
@@ -432,8 +567,8 @@ class TestPredictAndSerialize:
     def test_model_json_round_trip(self, blobs, tmp_path):
         res = train(blobs, BoostConfig(n_rounds=4, warmup_rounds=1))
         path = tmp_path / "model.json"
-        save_model(res.ensemble, path)
-        back = load_model(path)
+        path.write_text(json.dumps(res.ensemble.to_dict()))
+        back = Ensemble.from_dict(json.loads(path.read_text()))
         _, p1 = predict(res.ensemble, blobs.features)
         _, p2 = predict(back, blobs.features)
         assert np.array_equal(p1, p2)
