@@ -6,11 +6,11 @@ from .data_ingest import (ColumnSchema, Dataset, SplitSpec, load_csv,
 from .noise import (NoiseSpec, TransitionMatrix, inject, pair_matrix,
                     symmetric_matrix)
 from .gbdt import (BoostConfig, Booster, Ensemble, Tree, TrainResult,
-                   build_tree, grad_hess, predict, probabilities, train)
+                   build_tree, grad_hess, probabilities, train)
 from .dynamics import DynamicsLog, EpochRecord
-from .detect import (ConfCorrStats, Gmm1D, NoiseScores, aum_scores,
-                     confcorr_scores, detection_metrics, fit_gmm_1d,
-                     gradient_scores, lrt_scores, threshold)
+from .detect import (Gmm1D, NoiseScores, aum_scores, confcorr_scores,
+                     detection_metrics, fit_gmm_1d, gradient_scores,
+                     lrt_scores)
 from .correct import CorrectionState, NoiseHandler, apply_relabel, apply_removal
 from .metrics_report import (ClassificationMetrics, RunReport,
                              classification_metrics, prediction_type_counts,
@@ -20,13 +20,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoostConfig", "Booster", "ClassificationMetrics", "ColumnSchema",
-    "ConfCorrStats", "CorrectionState", "Dataset", "DynamicsLog", "Ensemble",
-    "EpochRecord", "Gmm1D", "NoiseHandler", "NoiseScores", "NoiseSpec",
-    "RunReport", "SplitSpec", "TrainResult", "TransitionMatrix", "Tree",
-    "apply_relabel", "apply_removal", "aum_scores", "build_tree",
-    "classification_metrics", "confcorr_scores", "detection_metrics",
-    "fit_gmm_1d", "grad_hess", "gradient_scores", "inject", "load_csv",
-    "lrt_scores", "pair_matrix", "predict", "prediction_type_counts",
-    "prepare", "preprocess", "probabilities", "split", "symmetric_matrix",
-    "threshold", "train", "write_report",
+    "CorrectionState", "Dataset", "DynamicsLog", "Ensemble", "EpochRecord",
+    "Gmm1D", "NoiseHandler", "NoiseScores", "NoiseSpec", "RunReport",
+    "SplitSpec", "TrainResult", "TransitionMatrix", "Tree", "apply_relabel",
+    "apply_removal", "aum_scores", "build_tree", "classification_metrics",
+    "confcorr_scores", "detection_metrics", "fit_gmm_1d", "grad_hess",
+    "gradient_scores", "inject", "load_csv", "lrt_scores", "pair_matrix",
+    "prediction_type_counts", "prepare", "preprocess", "probabilities",
+    "split", "symmetric_matrix", "train", "write_report",
 ]

@@ -32,7 +32,6 @@ class CorrectionState:
     labels: np.ndarray
     weights: np.ndarray
     removal_budget: float = DEFAULT_REMOVAL_BUDGET
-    class_count: int = 0
     removed: np.ndarray = field(default=None)
     relabeled: np.ndarray = field(default=None)
     events: list = field(default_factory=list)
@@ -48,7 +47,6 @@ class CorrectionState:
             self.removed = np.zeros(n, dtype=bool)
         if self.relabeled is None:
             self.relabeled = np.zeros(n, dtype=bool)
-        self.original_size = n
         self.max_removals = int(np.floor(self.removal_budget * n))
 
     @property
@@ -141,17 +139,18 @@ class NoiseHandler:
     """Per-round training callback combining detection and correction.
 
     One detector drives the correction; any further detectors listed are
-    scored for reporting only. Every round's flags are kept in
-    ``flag_rounds`` and every correction in ``events``; the handler never sees
-    which labels are truly noisy, so scoring both against the injected noise
-    is left to the caller (``detect.detection_report``). With mode "none" the
+    scored for reporting only, each flagging by its own rule (``detect``).
+    Every round's flags are kept in ``flag_rounds`` and every correction in
+    ``events``, naming rows by their position in the training arrays; the
+    handler never sees which labels are truly noisy, so scoring both against
+    the injected noise is left to the caller (``detect.detection_report``),
+    which also maps the positions to Dataset ids. With mode "none" the
     callback never touches labels or weights, so training output matches an
     uncorrected run.
     """
 
     def __init__(self, detectors=detect.ALL_METHODS, mode: str = "none",
-                 removal_budget: float = DEFAULT_REMOVAL_BUDGET,
-                 policy_override=None):
+                 removal_budget: float = DEFAULT_REMOVAL_BUDGET):
         if mode not in MODES:
             raise ValueError(f"unknown correction mode {mode!r}")
         self.detectors = tuple(detectors)
@@ -159,7 +158,6 @@ class NoiseHandler:
             raise ValueError("correction needs at least one detector")
         self.mode = mode
         self.removal_budget = removal_budget
-        self.policy_override = policy_override
         self.state: CorrectionState | None = None
         self.flag_rounds: list[tuple[int, dict]] = []
 
@@ -167,18 +165,13 @@ class NoiseHandler:
     def events(self) -> list:
         return [] if self.state is None else self.state.events
 
-    def __call__(self, round_index, dynamics, labels, weights,
-                 instance_ids) -> bool:
+    def __call__(self, round_index, dynamics, labels, weights) -> bool:
         """Flag and correct one round; returns whether any label changed."""
         if self.state is None:
             self.state = CorrectionState(mode=self.mode, labels=labels,
                                          weights=weights,
                                          removal_budget=self.removal_budget)
-        scored = detect.score_all(dynamics, labels, instance_ids,
-                                  self.detectors)
-        if self.policy_override is not None:
-            for s in scored.values():
-                s.flagged = detect.threshold(s, self.policy_override)
+        scored = detect.score_all(dynamics, labels, self.detectors)
         self.flag_rounds.append(
             (round_index, {m: s.flagged for m, s in scored.items()}))
         if self.mode == "none":

@@ -12,8 +12,10 @@ training dynamics:
 * gradient magnitude: the largest absolute per-instance gradient over the
   window (large is suspicious).
 
-Scores become noisy/clean flags through a fixed cut, a two-component Gaussian
-mixture, or a top-quantile rule.
+Each detector applies its own flagging rule: the likelihood ratio flags a
+label less likely than the predicted class, the margin average flags a
+negative mean margin, and confidence/correctness and gradient magnitude split
+their scores with a two-component Gaussian mixture.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ ALL_METHODS = (METHOD_LRT, METHOD_AUM, METHOD_CONFCORR, METHOD_GRADIENTS)
 # evidence
 MIN_COMPONENT_GAP = 0.05
 
-DEFAULT_LRT_EPSILON = 1.0
-DEFAULT_AUM_THRESHOLD = 0.0
+# the likelihood ratio flags below this ratio, the margin average below this
+# margin
+LRT_CUT = 1.0
+AUM_CUT = 0.0
 
 
 @dataclass
@@ -51,25 +55,15 @@ class NoiseScores:
     """Columnar detector output for a whole training set."""
 
     method: str
-    instance_ids: np.ndarray
     scores: np.ndarray
     polarity: str
     flagged: np.ndarray
     threshold_used: float
     note: str = ""
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
     def noisiness(self) -> np.ndarray:
         """Scores oriented so that larger always means more suspicious."""
         return -self.scores if self.polarity == LOW_IS_NOISY else self.scores
-
-
-@dataclass
-class ConfCorrStats:
-    confidence: np.ndarray    # mean label probability, in [0, 1]
-    correctness: np.ndarray   # fraction of rounds predicted as the label
 
 
 @dataclass
@@ -80,44 +74,6 @@ class DetectionMetrics:
     flagged_fraction: float
     flagged_count: int
     flagged_noisy_count: int
-
-
-# --------------------------------------------------------------------------
-# threshold policies
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FixedPolicy:
-    value: float
-
-
-@dataclass(frozen=True)
-class GmmPolicy:
-    pass
-
-
-@dataclass(frozen=True)
-class QuantilePolicy:
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError("quantile must lie in [0, 1]")
-
-
-def parse_policy(spec):
-    """Accept a policy object or a string like "gmm", "fixed:0.5", "quantile:0.9"."""
-    if isinstance(spec, (FixedPolicy, GmmPolicy, QuantilePolicy)):
-        return spec
-    if spec == "gmm":
-        return GmmPolicy()
-    if isinstance(spec, str) and ":" in spec:
-        kind, _, arg = spec.partition(":")
-        if kind == "fixed":
-            return FixedPolicy(float(arg))
-        if kind == "quantile":
-            return QuantilePolicy(float(arg))
-    raise ValueError(f"unknown threshold policy {spec!r}")
 
 
 # --------------------------------------------------------------------------
@@ -223,18 +179,17 @@ def _flag_none(scores: np.ndarray, polarity: str,
     return np.zeros(len(scores), dtype=bool), cut, note
 
 
-def _gmm_flags(scores: np.ndarray, polarity: str, *,
-               min_gap: float = 0.0) -> tuple[np.ndarray, float, str]:
+def _gmm_flags(scores: np.ndarray,
+               polarity: str) -> tuple[np.ndarray, float, str]:
     """Mixture-based flags: the component on the suspicious side is treated as
-    the noise population. With ``min_gap`` > 0, nothing is flagged when the
-    fitted component means sit closer than the gap (no separable noise
-    population)."""
+    the noise population. Nothing is flagged when the fitted component means
+    sit closer than ``MIN_COMPONENT_GAP`` (no separable noise population)."""
     if len(np.unique(scores)) < 2:
         warnings.warn("mixture thresholding degenerate: fewer than 2 distinct "
                       "scores; flagging nothing")
         return _flag_none(scores, polarity, "degenerate: identical scores")
     gmm = fit_gmm_1d(scores)
-    if gmm.means[1] - gmm.means[0] < min_gap:
+    if gmm.means[1] - gmm.means[0] < MIN_COMPONENT_GAP:
         return _flag_none(scores, polarity,
                           "mixture components indistinguishable; not flagged")
     cut = gmm_decision_threshold(gmm)
@@ -243,60 +198,26 @@ def _gmm_flags(scores: np.ndarray, polarity: str, *,
     return scores > cut, cut, ""
 
 
-def threshold(scores: NoiseScores, policy) -> np.ndarray:
-    """Re-flag a score set under a policy; returns the boolean flag vector.
-
-    fixed(v) compares against v respecting polarity; gmm assigns by mixture
-    posterior; quantile(q) flags exactly the most-suspicious (1-q) fraction,
-    breaking score ties by instance id.
-    """
-    policy = parse_policy(policy)
-    s = scores.scores
-    if len(s) == 0:
-        raise ValueError("empty score set")
-    if isinstance(policy, FixedPolicy):
-        if scores.polarity == LOW_IS_NOISY:
-            return s < policy.value
-        return s > policy.value
-    if isinstance(policy, GmmPolicy):
-        flags, _, _ = _gmm_flags(s, scores.polarity)
-        return flags
-    k = int(round((1.0 - policy.q) * len(s)))
-    flags = np.zeros(len(s), dtype=bool)
-    if k <= 0:
-        return flags
-    order = np.lexsort((scores.instance_ids, scores.noisiness() * -1.0))
-    flags[order[:k]] = True
-    return flags
-
-
 # --------------------------------------------------------------------------
 # detectors
 # --------------------------------------------------------------------------
 
-def lrt_scores(probs: np.ndarray, labels: np.ndarray,
-               instance_ids: np.ndarray,
-               epsilon: float = DEFAULT_LRT_EPSILON) -> NoiseScores:
+def lrt_scores(probs: np.ndarray, labels: np.ndarray) -> NoiseScores:
     """Likelihood ratio p(label | x) / p(predicted | x) from the latest round;
-    flagged when the ratio falls below ``epsilon``."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    flagged when the ratio falls below 1, i.e. when the label is less likely
+    than the predicted class."""
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
     p_label = probs[np.arange(n), labels]
     p_pred = probs.max(axis=1)
     ratio = p_label / p_pred
-    return NoiseScores(method=METHOD_LRT,
-                       instance_ids=np.asarray(instance_ids),
-                       scores=ratio, polarity=LOW_IS_NOISY,
-                       flagged=ratio < epsilon, threshold_used=float(epsilon))
+    return NoiseScores(method=METHOD_LRT, scores=ratio, polarity=LOW_IS_NOISY,
+                       flagged=ratio < LRT_CUT, threshold_used=LRT_CUT)
 
 
-def aum_scores(window_logits: np.ndarray, labels: np.ndarray,
-               instance_ids: np.ndarray,
-               cut: float = DEFAULT_AUM_THRESHOLD) -> NoiseScores:
+def aum_scores(window_logits: np.ndarray, labels: np.ndarray) -> NoiseScores:
     """Mean margin (assigned-label logit minus best other-class logit) over
-    the retained window; negative means suspicious."""
+    the retained window; flagged when negative."""
     window_logits = np.asarray(window_logits, dtype=np.float64)
     if window_logits.ndim != 3 or window_logits.shape[0] == 0:
         raise ValueError("expected a non-empty (rounds, instances, classes) window")
@@ -310,58 +231,47 @@ def aum_scores(window_logits: np.ndarray, labels: np.ndarray,
     z_other = masked.max(axis=2)
     margins = z_label - z_other
     score = margins.mean(axis=0)
-    return NoiseScores(method=METHOD_AUM,
-                       instance_ids=np.asarray(instance_ids),
-                       scores=score, polarity=LOW_IS_NOISY,
-                       flagged=score < cut, threshold_used=float(cut))
+    return NoiseScores(method=METHOD_AUM, scores=score, polarity=LOW_IS_NOISY,
+                       flagged=score < AUM_CUT, threshold_used=AUM_CUT)
 
 
-def confcorr_scores(log: DynamicsLog,
-                    instance_ids: np.ndarray) -> tuple[ConfCorrStats, NoiseScores]:
-    """Confidence and correctness over all recorded rounds, with a combined
-    score (confidence + correctness) / 2 thresholded by mixture fit."""
-    stats = ConfCorrStats(confidence=log.confidence(),
-                          correctness=log.correctness())
-    combined = 0.5 * (stats.confidence + stats.correctness)
-    flags, cut, note = _gmm_flags(combined, LOW_IS_NOISY,
-                                  min_gap=MIN_COMPONENT_GAP)
-    return stats, NoiseScores(method=METHOD_CONFCORR,
-                              instance_ids=np.asarray(instance_ids),
-                              scores=combined, polarity=LOW_IS_NOISY,
-                              flagged=flags, threshold_used=cut, note=note)
+def confcorr_scores(log: DynamicsLog) -> NoiseScores:
+    """Confidence (mean label probability) and correctness (fraction of
+    rounds predicted as the label) over all recorded rounds, combined as
+    (confidence + correctness) / 2 and thresholded by mixture fit."""
+    combined = 0.5 * (log.confidence() + log.correctness())
+    flags, cut, note = _gmm_flags(combined, LOW_IS_NOISY)
+    return NoiseScores(method=METHOD_CONFCORR, scores=combined,
+                       polarity=LOW_IS_NOISY, flagged=flags,
+                       threshold_used=cut, note=note)
 
 
-def gradient_scores(window_gradients: np.ndarray,
-                    instance_ids: np.ndarray) -> NoiseScores:
+def gradient_scores(window_gradients: np.ndarray) -> NoiseScores:
     """Largest absolute per-instance gradient over the retained window,
     thresholded by mixture fit (higher-mean component is the noise cluster)."""
     window_gradients = np.asarray(window_gradients, dtype=np.float64)
     if window_gradients.ndim != 2 or window_gradients.shape[0] == 0:
         raise ValueError("expected a non-empty (rounds, instances) window")
     score = window_gradients.max(axis=0)
-    flags, cut, note = _gmm_flags(score, HIGH_IS_NOISY,
-                                  min_gap=MIN_COMPONENT_GAP)
-    return NoiseScores(method=METHOD_GRADIENTS,
-                       instance_ids=np.asarray(instance_ids),
-                       scores=score, polarity=HIGH_IS_NOISY,
-                       flagged=flags, threshold_used=cut, note=note)
+    flags, cut, note = _gmm_flags(score, HIGH_IS_NOISY)
+    return NoiseScores(method=METHOD_GRADIENTS, scores=score,
+                       polarity=HIGH_IS_NOISY, flagged=flags,
+                       threshold_used=cut, note=note)
 
 
 def score_all(log: DynamicsLog, labels: np.ndarray,
-              instance_ids: np.ndarray,
               methods=ALL_METHODS) -> dict[str, NoiseScores]:
     """Run the requested detectors against one dynamics log."""
     out: dict[str, NoiseScores] = {}
     for method in methods:
         if method == METHOD_LRT:
-            out[method] = lrt_scores(log.latest().probs, labels, instance_ids)
+            out[method] = lrt_scores(log.latest().probs, labels)
         elif method == METHOD_AUM:
-            out[method] = aum_scores(log.window_logits(), labels, instance_ids)
+            out[method] = aum_scores(log.window_logits(), labels)
         elif method == METHOD_CONFCORR:
-            _, out[method] = confcorr_scores(log, instance_ids)
+            out[method] = confcorr_scores(log)
         elif method == METHOD_GRADIENTS:
-            out[method] = gradient_scores(log.window_max_abs_gradients(),
-                                          instance_ids)
+            out[method] = gradient_scores(log.window_max_abs_gradients())
         else:
             raise ValueError(f"unknown detector {method!r}")
     return out
@@ -392,9 +302,10 @@ def detection_metrics(flags: np.ndarray, noise_mask: np.ndarray) -> DetectionMet
 
 
 def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
+                     instance_ids: np.ndarray,
                      best_round: int) -> tuple[dict, dict, dict, list]:
     """Score a run's detector flags and correction events against the
-    ground-truth noise mask.
+    ground-truth noise mask of the fit set.
 
     ``flag_rounds`` holds one (round, {method: flags}) pair per detection
     round, in ascending round order (``NoiseHandler.flag_rounds``). Returns
@@ -402,7 +313,9 @@ def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
     detection round and at the early-stopped round, each method's peak
     flagged fraction with its (first) round, which shows a detector that
     floods, and the events with ``was_actually_noisy`` added to each removal
-    and relabel. Early stopping before the first detection round is
+    and relabel. Events name rows by their position in the fit set; the
+    returned ones name them by ``instance_ids``, the fit set's Dataset ids.
+    Early stopping before the first detection round is
     evaluated at that round; at a round without detection, the next
     detection round is used, or the last one when none follows.
     """
@@ -434,7 +347,8 @@ def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
         i = int(np.argmax(fractions))
         peaks[method] = {"flagged_fraction": fractions[i],
                          "round": entry["round"][i]}
-    events = [ev | {"was_actually_noisy": bool(noise_mask[ev["instance_id"]])}
+    events = [ev | {"instance_id": int(instance_ids[ev["instance_id"]]),
+                    "was_actually_noisy": bool(noise_mask[ev["instance_id"]])}
               if ev["action"] in ("remove", "relabel") else ev
               for ev in events]
     return series, evaluation, peaks, events

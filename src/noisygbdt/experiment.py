@@ -58,7 +58,6 @@ class ExperimentConfig:
     boost: BoostConfig = field(default_factory=BoostConfig)
     detectors: tuple = detect.ALL_METHODS
     corrections: tuple = ("remove", "relabel")
-    threshold_policy: str | None = None      # None keeps per-detector defaults
     # clean-test monitoring: a noisy holdout penalizes exactly the sharpening
     # that correction buys, truncating corrected runs back to the warm-up point
     monitor: str = "clean_test"
@@ -85,6 +84,9 @@ class ExperimentConfig:
         for corr in self.corrections:
             if corr not in ("remove", "relabel"):
                 raise ExperimentError(f"unknown correction {corr!r}")
+        self.boost.validate(with_callback=True)
+        if not (0.0 <= self.removal_budget <= 1.0):
+            raise ExperimentError("removal_budget must lie in [0, 1]")
         if self.monitor not in MONITORS:
             raise ExperimentError(f"unknown monitor {self.monitor!r}")
         if not (0.0 < self.noisy_val_fraction < 0.5):
@@ -206,11 +208,9 @@ def _noisy_fit_set(cfg: ExperimentConfig, train_ds, kind: str, rate: float,
 def _handler(cfg: ExperimentConfig, detector: str | None,
              correction: str) -> NoiseHandler:
     if correction == "none":
-        return NoiseHandler(detectors=cfg.detectors, mode="none",
-                            policy_override=cfg.threshold_policy)
+        return NoiseHandler(detectors=cfg.detectors, mode="none")
     return NoiseHandler(detectors=(detector,), mode=correction,
-                        removal_budget=cfg.removal_budget,
-                        policy_override=cfg.threshold_policy)
+                        removal_budget=cfg.removal_budget)
 
 
 def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
@@ -247,7 +247,7 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
             (report.detector_series, report.evaluation, report.detector_peaks,
              report.correction_events) = detect.detection_report(
                 handler.flag_rounds, handler.events, fit_ds.noise_mask,
-                report.best_round)
+                fit_ds.instance_ids, report.best_round)
             report.dataset = cfg.dataset
             report.noise_kind = kind
             report.noise_rate = rate

@@ -550,11 +550,6 @@ def expand_logits(raw: np.ndarray, objective: str) -> np.ndarray:
     return raw
 
 
-def predict(ensemble: Ensemble, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Module-level prediction: (logits (n, c), probabilities (n, c))."""
-    return ensemble.predict(features)
-
-
 # --------------------------------------------------------------------------
 # early stopping
 # --------------------------------------------------------------------------
@@ -714,7 +709,8 @@ class Booster:
     def step(self, callback=None) -> None:
         """Train the next round.
 
-        Invoke ``callback`` once the warm-up has passed, fit one tree per
+        Invoke ``callback(round, dynamics, labels, weights)`` once the
+        warm-up has passed (the contract is ``train``'s), fit one tree per
         class to the gradients of the current labels and weights, then record
         the post-update state in the DynamicsLog and evaluate the round.
         """
@@ -722,8 +718,7 @@ class Booster:
             raise RuntimeError("training has finished")
         cfg, width, t = self.config, self.width, self.rounds_trained
         if callback is not None and t >= cfg.warmup_rounds:
-            if callback(t, self.dynamics, self.labels, self.weights,
-                        self.dataset.instance_ids):
+            if callback(t, self.dynamics, self.labels, self.weights):
                 self.g, self.h = grad_hess(self.probs, self.labels,
                                            self.objective, cfg.hessian_floor)
 
@@ -858,11 +853,11 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
     """Boost for up to ``config.n_rounds`` rounds: a ``Booster`` run to the
     end.
 
-    ``callback(round, dynamics, labels, weights, instance_ids)`` is invoked
-    once per round after the warm-up. It may zero entries of ``weights`` or
-    rewrite ``labels`` in place; both take effect in that round's tree fit.
-    It returns whether it changed any label, and the trainer then recomputes
-    the gradients. The trainer never sees the noise mask: scoring the
+    ``callback(round, dynamics, labels, weights)`` is invoked once per round
+    after the warm-up. It may zero entries of ``weights`` or rewrite
+    ``labels`` in place, naming rows by their position in ``dataset``; both
+    take effect in that round's tree fit. It returns whether it changed any
+    label, and the trainer then recomputes the gradients. The trainer never sees the noise mask: scoring the
     callback's flags and corrections against the injected noise is left to
     the caller (``experiment.run_group``).
 

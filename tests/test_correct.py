@@ -15,7 +15,7 @@ from noisygbdt.gbdt import BoostConfig, train
 def make_state(n=10, mode="remove", budget=0.8, class_count=3):
     labels = np.arange(n, dtype=np.int64) % class_count
     return CorrectionState(mode=mode, labels=labels, weights=np.ones(n),
-                           removal_budget=budget, class_count=class_count)
+                           removal_budget=budget)
 
 
 class TestRemoval:
@@ -114,7 +114,7 @@ class TestRelabel:
         n, c = 30, 4
         state = CorrectionState(mode="relabel",
                                 labels=rng.integers(0, c, n),
-                                weights=np.ones(n), class_count=c)
+                                weights=np.ones(n))
         raw = rng.random((3, n, c))
         window = raw / raw.sum(axis=2, keepdims=True)
         flagged = np.flatnonzero(rng.random(n) < 0.5)
@@ -166,7 +166,8 @@ class TestNoiseHandler:
         train(ds, BoostConfig(n_rounds=20, warmup_rounds=15), handler)
         assert handler.state.removed_count > 0
         series, _, _, _ = detection_report(handler.flag_rounds, handler.events,
-                                        ds.noise_mask, best_round=19)
+                                           ds.noise_mask, ds.instance_ids,
+                                           best_round=19)
         assert series["aum"]["flagged_count"][0] > 0
 
     def test_relabel_run_marks_instances(self):

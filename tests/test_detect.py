@@ -7,28 +7,23 @@ from hypothesis import strategies as st
 
 from conftest import threshold_dataset
 from noisygbdt import noise
-from noisygbdt.detect import (ALL_METHODS, FixedPolicy, GmmPolicy,
-                              QuantilePolicy, aum_scores, confcorr_scores,
-                              detection_metrics, detection_report,
-                              fit_gmm_1d, gmm_decision_threshold,
-                              gradient_scores, lrt_scores, parse_policy,
-                              score_all, threshold)
+from noisygbdt.detect import (ALL_METHODS, HIGH_IS_NOISY, _gmm_flags,
+                              aum_scores, confcorr_scores, detection_metrics,
+                              detection_report, fit_gmm_1d,
+                              gmm_decision_threshold, gradient_scores,
+                              lrt_scores, score_all)
 from noisygbdt.dynamics import DynamicsLog, EpochRecord
 from noisygbdt.gbdt import BoostConfig, train
 
 
-def ids(n):
-    return np.arange(n, dtype=np.int64)
-
-
 class TestLrt:
     def test_label_equals_prediction_not_flagged(self):
-        s = lrt_scores(np.array([[0.7, 0.2, 0.1]]), np.array([0]), ids(1))
+        s = lrt_scores(np.array([[0.7, 0.2, 0.1]]), np.array([0]))
         assert s.scores[0] == pytest.approx(1.0)
         assert not s.flagged[0]
 
     def test_ratio_value_and_flag(self):
-        s = lrt_scores(np.array([[0.7, 0.2, 0.1]]), np.array([1]), ids(1))
+        s = lrt_scores(np.array([[0.7, 0.2, 0.1]]), np.array([1]))
         assert s.scores[0] == pytest.approx(0.2 / 0.7)
         assert s.flagged[0]
 
@@ -40,29 +35,24 @@ class TestLrt:
         raw = rng.random((40, 4)) + 1e-6
         probs = raw / raw.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, size=40)
-        s = lrt_scores(probs, labels, ids(40), epsilon=1.0)
+        s = lrt_scores(probs, labels)
         disagree = probs.argmax(axis=1) != labels
         # ties between the label and the argmax keep the ratio at exactly 1
         expected = probs[np.arange(40), labels] < probs.max(axis=1)
         assert np.array_equal(s.flagged, expected)
         assert np.array_equal(s.flagged, disagree) or not disagree.any()
 
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            lrt_scores(np.array([[0.5, 0.5]]), np.array([0]), ids(1),
-                       epsilon=0.0)
-
 
 class TestAum:
     def test_margin_average(self):
         window = np.array([[[2.0, 1.0, 0.0]], [[0.0, 3.0, 0.0]]])
-        s = aum_scores(window, np.array([0]), ids(1))
+        s = aum_scores(window, np.array([0]))
         assert s.scores[0] == pytest.approx(-1.0)  # margins 1 and -3
         assert s.flagged[0]
 
     def test_single_round_argmax_label_positive(self):
         window = np.array([[[3.0, 1.0, 0.5]]])
-        s = aum_scores(window, np.array([0]), ids(1))
+        s = aum_scores(window, np.array([0]))
         assert s.scores[0] > 0
         assert not s.flagged[0]
 
@@ -74,17 +64,17 @@ class TestAum:
         window = rng.normal(0, 2, size=(3, 10, 4))
         labels = rng.integers(0, 4, size=10)
         shifts = rng.normal(0, 5, size=(3, 10, 1))
-        s1 = aum_scores(window, labels, ids(10))
-        s2 = aum_scores(window + shifts, labels, ids(10))
+        s1 = aum_scores(window, labels)
+        s2 = aum_scores(window + shifts, labels)
         assert np.allclose(s1.scores, s2.scores, atol=1e-9)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
-            aum_scores(np.zeros((1, 3, 1)), np.zeros(3, dtype=int), ids(3))
+            aum_scores(np.zeros((1, 3, 1)), np.zeros(3, dtype=int))
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            aum_scores(np.zeros((0, 3, 2)), np.zeros(3, dtype=int), ids(3))
+            aum_scores(np.zeros((0, 3, 2)), np.zeros(3, dtype=int))
 
 
 def fill_log(probs_per_round, labels):
@@ -107,9 +97,9 @@ class TestConfCorr:
         labels = np.array([1, 0])
         rounds = [[[0.0, 1.0], [1.0, 0.0]]] * 5
         log = fill_log(rounds, labels)
-        stats, scores = confcorr_scores(log, ids(2))
-        assert np.allclose(stats.confidence, 1.0)
-        assert np.allclose(stats.correctness, 1.0)
+        scores = confcorr_scores(log)
+        assert np.allclose(log.confidence(), 1.0)
+        assert np.allclose(log.correctness(), 1.0)
         assert np.allclose(scores.scores, 1.0)
         assert not scores.flagged.any()  # identical confident scores
 
@@ -122,7 +112,7 @@ class TestConfCorr:
         p1 = np.concatenate([good, bad])
         rounds = [np.column_stack([p1, 1 - p1]) for _ in range(6)]
         log = fill_log(rounds, labels)
-        _, scores = confcorr_scores(log, ids(n))
+        scores = confcorr_scores(log)
         assert scores.flagged[n // 2:].all()
         assert not scores.flagged[:n // 2].any()
 
@@ -136,9 +126,9 @@ class TestConfCorr:
             raw = rng.random((n, c))
             rounds.append(raw / raw.sum(axis=1, keepdims=True))
         log = fill_log(rounds, labels)
-        stats, _ = confcorr_scores(log, ids(n))
-        assert (stats.confidence >= 0).all() and (stats.confidence <= 1).all()
-        gamma_steps = stats.correctness * 11
+        confidence = log.confidence()
+        assert (confidence >= 0).all() and (confidence <= 1).all()
+        gamma_steps = log.correctness() * 11
         assert np.abs(gamma_steps - np.round(gamma_steps)).max() <= 1e-9
 
 
@@ -146,7 +136,7 @@ class TestGradients:
     def test_identical_scores_flag_none_with_warning(self):
         window = np.full((3, 10), 0.25)
         with pytest.warns(UserWarning, match="degenerate"):
-            s = gradient_scores(window, ids(10))
+            s = gradient_scores(window)
         assert not s.flagged.any()
         assert "degenerate" in s.note
 
@@ -155,13 +145,13 @@ class TestGradients:
         low = rng.normal(0.1, 0.01, 50)
         high = rng.normal(0.9, 0.01, 50)
         window = np.concatenate([low, high])[None, :]
-        s = gradient_scores(window, ids(100))
+        s = gradient_scores(window)
         assert s.flagged[50:].all()
         assert not s.flagged[:50].any()
 
     def test_window_max_aggregation(self):
         window = np.array([[0.1, 0.9], [0.8, 0.2]])
-        s = gradient_scores(window, ids(2))
+        s = gradient_scores(window)
         assert np.allclose(s.scores, [0.8, 0.9])
 
     def test_compressed_scores_not_flagged(self):
@@ -169,7 +159,7 @@ class TestGradients:
         # split inside it is not treated as a noise population
         rng = np.random.default_rng(2)
         window = rng.uniform(0.10, 0.13, size=(3, 200))
-        s = gradient_scores(window, ids(200))
+        s = gradient_scores(window)
         assert not s.flagged.any()
         assert "indistinguishable" in s.note
 
@@ -216,43 +206,11 @@ class TestGmm:
 
 
 class TestThreshold:
-    def test_quantile_exact_count(self):
-        rng = np.random.default_rng(0)
-        scores = lrt_scores(np.column_stack([rng.random(100),
-                                             rng.random(100)]),
-                            np.zeros(100, dtype=int), ids(100))
-        flags = threshold(scores, QuantilePolicy(0.9))
-        assert flags.sum() == 10
-        # the ten most suspicious (lowest ratio) instances are flagged
-        worst = np.argsort(scores.scores)[:10]
-        assert set(np.flatnonzero(flags)) == set(worst)
-
-    def test_quantile_string_spec(self):
-        assert parse_policy("quantile:0.75") == QuantilePolicy(0.75)
-        assert parse_policy("fixed:0.5") == FixedPolicy(0.5)
-        assert isinstance(parse_policy("gmm"), GmmPolicy)
-
-    def test_quantile_out_of_range(self):
-        with pytest.raises(ValueError):
-            QuantilePolicy(1.5)
-
-    def test_fixed_zero_matches_aum_flags(self):
-        rng = np.random.default_rng(1)
-        window = rng.normal(0, 1, size=(4, 50, 3))
-        labels = rng.integers(0, 3, size=50)
-        s = aum_scores(window, labels, ids(50))
-        assert np.array_equal(threshold(s, FixedPolicy(0.0)), s.flagged)
-
     def test_gmm_matches_nearest_mean_when_separated(self):
         rng = np.random.default_rng(2)
         vals = np.concatenate([rng.normal(0.05, 0.02, 200),
                                rng.normal(0.95, 0.02, 100)])
-        from noisygbdt.detect import NoiseScores, HIGH_IS_NOISY
-
-        s = NoiseScores(method="gradients", instance_ids=ids(300),
-                        scores=vals, polarity=HIGH_IS_NOISY,
-                        flagged=np.zeros(300, bool), threshold_used=0.0)
-        flags = threshold(s, GmmPolicy())
+        flags, _, _ = _gmm_flags(vals, HIGH_IS_NOISY)
         nearest_hi = np.abs(vals - 0.95) < np.abs(vals - 0.05)
         assert np.array_equal(flags, nearest_hi)
 
@@ -261,28 +219,15 @@ class TestThreshold:
            b=st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=25, deadline=None)
     def test_gmm_flags_affine_invariant(self, a, b):
+        # the smallest scale keeps the component gap (about 0.07) above
+        # MIN_COMPONENT_GAP
         rng = np.random.default_rng(7)
         vals = np.concatenate([rng.normal(0.1, 0.03, 120),
                                rng.normal(0.8, 0.05, 80)])
-        from noisygbdt.detect import NoiseScores, HIGH_IS_NOISY
-
-        base = NoiseScores(method="gradients", instance_ids=ids(200),
-                           scores=vals, polarity=HIGH_IS_NOISY,
-                           flagged=np.zeros(200, bool), threshold_used=0.0)
-        scaled = NoiseScores(method="gradients", instance_ids=ids(200),
-                             scores=a * vals + b, polarity=HIGH_IS_NOISY,
-                             flagged=np.zeros(200, bool), threshold_used=0.0)
-        assert np.array_equal(threshold(base, GmmPolicy()),
-                              threshold(scaled, GmmPolicy()))
-
-    def test_empty_scores_rejected(self):
-        from noisygbdt.detect import NoiseScores, LOW_IS_NOISY
-
-        empty = NoiseScores(method="lrt", instance_ids=ids(0),
-                            scores=np.array([]), polarity=LOW_IS_NOISY,
-                            flagged=np.array([], bool), threshold_used=1.0)
-        with pytest.raises(ValueError):
-            threshold(empty, FixedPolicy(1.0))
+        base, _, _ = _gmm_flags(vals, HIGH_IS_NOISY)
+        scaled, _, _ = _gmm_flags(a * vals + b, HIGH_IS_NOISY)
+        assert base.any()
+        assert np.array_equal(base, scaled)
 
 
 class TestDetectionMetrics:
@@ -305,6 +250,7 @@ class TestDetectionMetrics:
 
 class TestDetectionReport:
     MASK = np.array([True, False, False, True])
+    IDS = np.array([20, 21, 23, 25])   # the fit set's Dataset ids
 
     def flag_rounds(self, rounds):
         # round r flags rows 0..(r mod 4): "a" flags, "b" never does
@@ -313,7 +259,8 @@ class TestDetectionReport:
 
     def test_series_match_detection_metrics(self):
         flag_rounds = self.flag_rounds([3, 4, 5])
-        series, _, _, _ = detection_report(flag_rounds, [], self.MASK, 5)
+        series, _, _, _ = detection_report(flag_rounds, [], self.MASK,
+                                           self.IDS, 5)
         assert list(series) == ["a", "b"]
         assert series["a"]["round"] == [3, 4, 5]
         for i, (_, flags) in enumerate(flag_rounds):
@@ -326,7 +273,7 @@ class TestDetectionReport:
 
     def test_early_stop_inside_detection_rounds(self):
         _, evaluation, _, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
-                                            self.MASK, 4)
+                                            self.MASK, self.IDS, 4)
         first = evaluation["first_after_warmup"]
         assert first["round"] == 3 and first["methods"]["a"]["round"] == 3
         stop = evaluation["early_stop"]
@@ -340,41 +287,45 @@ class TestDetectionReport:
         # the best round precedes the warm-up's end: evaluate at the first
         # detection round
         _, evaluation, _, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
-                                            self.MASK, 1)
+                                            self.MASK, self.IDS, 1)
         stop = evaluation["early_stop"]
         assert stop["round"] == 3 and stop["methods"]["a"]["round"] == 3
 
     def test_early_stop_after_detection_rounds(self):
         _, evaluation, _, _ = detection_report(self.flag_rounds([3, 4, 5]), [],
-                                            self.MASK, 9)
+                                            self.MASK, self.IDS, 9)
         stop = evaluation["early_stop"]
         assert stop["round"] == 9 and stop["methods"]["a"]["round"] == 5
 
     def test_early_stop_between_detection_rounds(self):
         _, evaluation, _, _ = detection_report(self.flag_rounds([3, 6]), [],
-                                            self.MASK, 4)
+                                            self.MASK, self.IDS, 4)
         assert evaluation["early_stop"]["methods"]["a"]["round"] == 6
 
     def test_peak_flagged_fraction_and_its_round(self):
         _, _, peaks, _ = detection_report(self.flag_rounds([2, 3, 4, 7]), [],
-                                          self.MASK, 5)
+                                          self.MASK, self.IDS, 5)
         # "a" flags 3, 4, 1 and 4 of 4 rows; the first peak round wins
         assert peaks == {"a": {"flagged_fraction": 1.0, "round": 3},
                          "b": {"flagged_fraction": 0.0, "round": 2}}
 
     def test_no_detectors_no_evaluation(self):
         series, evaluation, _, _ = detection_report([(3, {}), (4, {})], [],
-                                                 self.MASK, 4)
+                                                 self.MASK, self.IDS, 4)
         assert series == {} and evaluation == {}
 
     def test_events_learn_the_ground_truth(self):
         events = [{"round": 3, "instance_id": 0, "action": "remove"},
                   {"round": 3, "instance_id": 1, "action": "relabel"},
                   {"round": 3, "instance_id": -1, "action": "budget_hit"}]
-        _, _, _, tagged = detection_report([], events, self.MASK, 3)
+        _, _, _, tagged = detection_report([], events, self.MASK, self.IDS,
+                                           3)
         assert [ev.get("was_actually_noisy") for ev in tagged] == [
             True, False, None]
+        # positions become Dataset ids; the budget-hit marker stays -1
+        assert [ev["instance_id"] for ev in tagged] == [20, 21, -1]
         assert "was_actually_noisy" not in events[0]
+        assert events[0]["instance_id"] == 0
 
 
 class TestCleanSeparableNoFalseAlarms:
@@ -385,8 +336,7 @@ class TestCleanSeparableNoFalseAlarms:
                                     tree_method="exact"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scored = score_all(res.dynamics, ds.noisy_labels,
-                               ds.instance_ids, ALL_METHODS)
+            scored = score_all(res.dynamics, ds.noisy_labels, ALL_METHODS)
         for method, s in scored.items():
             acc = detection_metrics(s.flagged, ds.noise_mask).accuracy
             assert acc >= 0.999, f"{method} false alarms on clean data"

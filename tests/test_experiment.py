@@ -54,6 +54,16 @@ class TestConfig:
         with pytest.raises(ExperimentError):
             config_from_dict({"noise_kinds": ["diagonal"]})
 
+    @pytest.mark.parametrize("payload, match", [
+        ({"boost": {"n_rounds": 10, "warmup_rounds": 15}}, "warmup_rounds"),
+        ({"boost": {"tree_method": "bogus"}}, "tree_method"),
+        ({"removal_budget": 1.5}, "removal_budget"),
+        ({"removal_budget": -0.1}, "removal_budget"),
+    ])
+    def test_cell_errors_caught_at_load(self, payload, match):
+        with pytest.raises(ValueError, match=match):
+            config_from_dict(payload)
+
     def test_csv_dataset_needs_label_column(self):
         with pytest.raises(ExperimentError, match="label_column"):
             config_from_dict({"dataset": "some.csv"})
@@ -163,6 +173,7 @@ class TestStages:
                                   train_ds.class_count)
         noisy, _ = noise.inject(train_ds.clean_labels, matrix, noise_seed)
         mask = noisy != train_ds.clean_labels
+        row_of = {int(i): p for p, i in enumerate(train_ds.instance_ids)}
         root = tmp_path / "runs" / "stage2" / cfg.dataset / "pair_0.30"
         for cell in ("remove_gradients", "relabel_gradients"):
             with open(root / cell / "corrections.csv", newline="") as fh:
@@ -170,8 +181,27 @@ class TestStages:
                           if row["action"] in ("remove", "relabel")]
             assert events, cell
             for row in events:
-                expected = bool(mask[int(row["instance_id"])])
+                expected = bool(mask[row_of[int(row["instance_id"])]])
                 assert row["was_actually_noisy"] == str(expected), cell
+
+    def test_events_name_dataset_ids(self, tmp_path):
+        # corrections act on positions in the fit set; the report names each
+        # row by its Dataset id, so that events join back to the data
+        cfg = tiny_config(tmp_path, monitor="noisy_val")
+        train_ds, test_ds = prepare_data(cfg, cfg.seed)
+        fit_ds, _, _ = experiment._noisy_fit_set(cfg, train_ds, "pair", 0.3,
+                                                 cfg.seed)
+        row_of = {int(i): p for p, i in enumerate(fit_ds.instance_ids)}
+        for correction in ("remove", "relabel"):
+            report = run_cell(cfg, train_ds, test_ds, "pair", 0.3,
+                              "gradients", correction, cfg.seed)
+            events = [ev for ev in report.correction_events
+                      if ev["action"] == correction]
+            assert events, correction
+            for ev in events:
+                row = row_of[ev["instance_id"]]
+                assert ev["old_label"] == fit_ds.noisy_labels[row]
+                assert ev["was_actually_noisy"] == fit_ds.noise_mask[row]
 
     def test_trials_produce_distinct_runs_and_std(self, tmp_path):
         cfg = tiny_config(tmp_path, noise_rates=(0.3,), trials=2,
@@ -388,14 +418,22 @@ class TestCli:
             assert [r["noise_kind"] for r in rows] == [kind]
 
     def test_failed_cells_exit_nonzero(self, tmp_path):
-        # the policy is parsed at the first detection round, after warm-up
-        cfg = self.write_cfg(tmp_path, threshold_policy="bogus")
+        # ten rows leave a class with one row, which only the stratified
+        # split, run inside the cell's group, rejects
+        cfg = self.write_cfg(tmp_path, subsample=10)
         proc = run_cli(["run", "--config", str(cfg), "--stage", "1"])
         assert proc.returncode == 1
         assert "1 cells failed" in proc.stderr
         error = (tmp_path / "runs" / "stage1" / "dry_bean_like" / "pair_0.20"
                  / "none_none" / "error.txt")
-        assert "unknown threshold policy" in error.read_text()
+        assert "stratified split needs at least 2" in error.read_text()
+
+    def test_print_config_rejects_what_a_cell_would(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, boost={"n_rounds": 10,
+                                              "warmup_rounds": 15})
+        proc = run_cli(["run", "--config", str(cfg), "--print-config"])
+        assert proc.returncode == 2
+        assert "warmup_rounds must be below n_rounds" in proc.stderr
 
     def test_missing_config_errors(self, tmp_path):
         proc = run_cli(["run", "--config", str(tmp_path / "nope.yaml")])

@@ -13,8 +13,7 @@ from noisygbdt.metrics_report import classification_metrics
 from noisygbdt.gbdt import (BoostConfig, Booster, EarlyStopper, Ensemble,
                             TrainingDivergedError, Tree, _ExactSplitter,
                             _midpoint, _presort, _split_gains, build_tree,
-                            grad_hess, leaf_value, predict, probabilities,
-                            train)
+                            grad_hess, leaf_value, probabilities, train)
 
 
 class TestProbabilities:
@@ -321,7 +320,7 @@ class TestTrain:
     def test_warmup_callback_first_round(self, separable):
         calls = []
 
-        def callback(t, dynamics, labels, weights, ids):
+        def callback(t, dynamics, labels, weights):
             calls.append((t, dynamics.rounds_recorded))
             return False
 
@@ -430,8 +429,8 @@ class TestBooster:
         cfg = BoostConfig(n_rounds=12, warmup_rounds=3, tree_method=method,
                           max_bins=16)
 
-        def remove_some(t, dynamics, labels, w, ids):
-            w[(ids * 7 + t) % 23 == 0] = 0.0
+        def remove_some(t, dynamics, labels, w):
+            w[(np.arange(len(w)) * 7 + t) % 23 == 0] = 0.0
             return False
 
         booster = Booster(ds, cfg, initial_weights=weights)
@@ -539,7 +538,7 @@ class TestBooster:
 class TestPredictAndSerialize:
     def test_empty_ensemble_uniform(self):
         ens = Ensemble(objective="softprob", class_count=4, feature_count=2)
-        logits, probs = predict(ens, np.zeros((3, 2)))
+        logits, probs = ens.predict(np.zeros((3, 2)))
         assert np.allclose(logits, 0.0)
         assert np.allclose(probs, 0.25)
 
@@ -549,28 +548,28 @@ class TestPredictAndSerialize:
                     right=np.array([-1], np.int32), value=np.array([0.7]))
         ens = Ensemble(objective="logistic", class_count=2, feature_count=1,
                        rounds=[[tree]])
-        logits, _ = predict(ens, np.zeros((5, 1)))
+        logits, _ = ens.predict(np.zeros((5, 1)))
         assert np.allclose(logits[:, 1], 0.7)
         assert np.allclose(logits[:, 0], 0.0)
 
     def test_predict_deterministic(self, blobs):
         res = train(blobs, BoostConfig(n_rounds=5, warmup_rounds=2))
-        _, p1 = predict(res.ensemble, blobs.features)
-        _, p2 = predict(res.ensemble, blobs.features)
+        _, p1 = res.ensemble.predict(blobs.features)
+        _, p2 = res.ensemble.predict(blobs.features)
         assert np.array_equal(p1, p2)
 
     def test_width_mismatch_errors(self, blobs):
         res = train(blobs, BoostConfig(n_rounds=2, warmup_rounds=1))
         with pytest.raises(ValueError, match="width"):
-            predict(res.ensemble, np.zeros((2, 99)))
+            res.ensemble.predict(np.zeros((2, 99)))
 
     def test_model_json_round_trip(self, blobs, tmp_path):
         res = train(blobs, BoostConfig(n_rounds=4, warmup_rounds=1))
         path = tmp_path / "model.json"
         path.write_text(json.dumps(res.ensemble.to_dict()))
         back = Ensemble.from_dict(json.loads(path.read_text()))
-        _, p1 = predict(res.ensemble, blobs.features)
-        _, p2 = predict(back, blobs.features)
+        _, p1 = res.ensemble.predict(blobs.features)
+        _, p2 = back.predict(blobs.features)
         assert np.array_equal(p1, p2)
         payload = json.loads(path.read_text())
         assert payload["format_version"] == 1
