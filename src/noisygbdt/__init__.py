@@ -1,8 +1,7 @@
 """Gradient-boosted decision trees for tabular classification with label-noise
 injection, per-instance noise detection, and in-training correction."""
 
-from .data_ingest import (ColumnSchema, Dataset, SplitSpec, load_csv,
-                          preprocess, prepare, split)
+from .data_ingest import Dataset, SplitSpec, load_csv, preprocess, prepare
 from .noise import (NoiseSpec, TransitionMatrix, inject, pair_matrix,
                     symmetric_matrix)
 from .gbdt import (BoostConfig, Booster, Ensemble, Tree, TrainResult,
@@ -19,7 +18,7 @@ from .metrics_report import (ClassificationMetrics, RunReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoostConfig", "Booster", "ClassificationMetrics", "ColumnSchema",
+    "BoostConfig", "Booster", "ClassificationMetrics",
     "CorrectionState", "Dataset", "DynamicsLog", "Ensemble", "EpochRecord",
     "Gmm1D", "NoiseHandler", "NoiseScores", "NoiseSpec", "RunReport",
     "SplitSpec", "TrainResult", "TransitionMatrix", "Tree", "apply_relabel",
@@ -27,5 +26,5 @@ __all__ = [
     "confcorr_scores", "detection_metrics", "fit_gmm_1d", "grad_hess",
     "gradient_scores", "inject", "load_csv", "lrt_scores", "pair_matrix",
     "prediction_type_counts", "prepare", "preprocess", "probabilities",
-    "split", "symmetric_matrix", "train", "write_report",
+    "symmetric_matrix", "train", "write_report",
 ]

@@ -68,7 +68,7 @@ class CorrectionState:
 
 
 def apply_removal(state: CorrectionState, flagged_ids: np.ndarray,
-                  noisiness: np.ndarray | None = None,
+                  noisiness: np.ndarray,
                   round_index: int = -1) -> CorrectionState:
     """Zero the weights of flagged instances, respecting the cumulative budget.
 
@@ -84,11 +84,8 @@ def apply_removal(state: CorrectionState, flagged_ids: np.ndarray,
     candidates = np.unique(candidates)
     budget_left = state.max_removals - state.removed_count
     if len(candidates) > budget_left:
-        if noisiness is not None:
-            keys = np.asarray(noisiness, dtype=np.float64)[candidates]
-            order = np.lexsort((candidates, -keys))
-        else:
-            order = np.argsort(candidates, kind="stable")
+        keys = np.asarray(noisiness, dtype=np.float64)[candidates]
+        order = np.lexsort((candidates, -keys))
         candidates = candidates[order[:max(budget_left, 0)]]
         state.budget_hit_rounds.append(round_index)
         state.events.append({"round": round_index, "instance_id": -1,
@@ -179,8 +176,7 @@ class NoiseHandler:
         primary = scored[self.detectors[0]]
         flagged_rows = np.flatnonzero(primary.flagged)
         if self.mode == "remove":
-            apply_removal(self.state, flagged_rows,
-                          noisiness=primary.noisiness(),
+            apply_removal(self.state, flagged_rows, primary.noisiness(),
                           round_index=round_index)
             return False
         old_labels = labels[flagged_rows].copy()

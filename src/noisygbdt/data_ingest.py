@@ -1,11 +1,11 @@
 """CSV loading, preprocessing, and stratified splitting for tabular classification.
 
-The pipeline is: load a delimited text file into a :class:`RawTable` with
-inferred column kinds, preprocess it into a dense numeric :class:`Dataset`
-(median/mode imputation, standardization, one-hot encoding, contiguous label
-encoding), and split it into stratified train/test partitions. Imputation and
-standardization statistics can be fit on the training rows only so the test
-partition never leaks into them.
+The pipeline is: load a comma-separated file into a :class:`RawTable` with
+inferred column kinds, then ``prepare`` it: the stratified train/test split
+is drawn first, and ``preprocess`` turns the table into a dense numeric
+:class:`Dataset` (median/mode imputation, standardization, one-hot encoding,
+contiguous label encoding) with its statistics fit on the training rows only,
+so the test partition never leaks into them.
 """
 
 from __future__ import annotations
@@ -21,19 +21,6 @@ DEFAULT_MISSING_MARKERS = ("", "?")
 
 class DataIngestError(ValueError):
     """Raised for unreadable files, malformed tables, or invalid label columns."""
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Declared kind for one column; overrides inference when supplied."""
-
-    name: str
-    kind: str  # "numeric" | "categorical"
-    missing_marker: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("numeric", "categorical"):
-            raise DataIngestError(f"unknown column kind {self.kind!r} for {self.name!r}")
 
 
 @dataclass
@@ -141,7 +128,6 @@ class Dataset:
 @dataclass(frozen=True)
 class SplitSpec:
     test_fraction: float = 0.2
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -149,19 +135,16 @@ class SplitSpec:
             raise DataIngestError("test_fraction must lie in (0, 1)")
 
 
-def load_csv(path, schema_hint: list[ColumnSchema] | None = None, *,
-             delimiter: str = ",",
-             missing_markers: tuple[str, ...] = DEFAULT_MISSING_MARKERS) -> RawTable:
-    """Read a delimited text file with a header row into a RawTable.
+def load_csv(path) -> RawTable:
+    """Read a comma-separated file with a header row into a RawTable.
 
-    A column is inferred numeric when every non-missing cell parses as a real
-    number, categorical otherwise. ``schema_hint`` entries override inference
-    per column name.
+    Cells in ``DEFAULT_MISSING_MARKERS`` are missing. A column is inferred
+    numeric when every non-missing cell parses as a real number, categorical
+    otherwise.
     """
     try:
         with open(path, "r", newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            rows = list(reader)
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataIngestError(f"cannot read {path}: {exc}") from exc
 
@@ -178,40 +161,26 @@ def load_csv(path, schema_hint: list[ColumnSchema] | None = None, *,
             raise DataIngestError(
                 f"{path}: ragged row {i + 2} has {len(row)} cells, expected {width}")
 
-    hints = {h.name: h for h in (schema_hint or [])}
-    markers = set(missing_markers)
     columns = []
     for j, name in enumerate(header):
         raw = [body[i][j].strip() for i in range(len(body))]
-        col_markers = set(markers)
-        hint = hints.get(name)
-        if hint is not None and hint.missing_marker is not None:
-            col_markers.add(hint.missing_marker)
-        missing = [v in col_markers for v in raw]
-        if hint is not None:
-            kind = hint.kind
-        else:
-            kind = "numeric"
-            for v, m in zip(raw, missing):
-                if m:
-                    continue
-                try:
-                    float(v)
-                except ValueError:
-                    kind = "categorical"
-                    break
-            if all(missing):
+        missing = [v in DEFAULT_MISSING_MARKERS for v in raw]
+        kind = "numeric"
+        for v, m in zip(raw, missing):
+            if m:
+                continue
+            try:
+                float(v)
+            except ValueError:
                 kind = "categorical"
+                break
+        if all(missing):
+            kind = "categorical"
         if kind == "numeric":
             vals = np.full(len(raw), np.nan)
             for i, (v, m) in enumerate(zip(raw, missing)):
                 if not m:
-                    try:
-                        vals[i] = float(v)
-                    except ValueError:
-                        raise DataIngestError(
-                            f"{path}: column {name!r} declared numeric but row "
-                            f"{i + 2} holds {v!r}") from None
+                    vals[i] = float(v)
         else:
             vals = np.array([None if m else v for v, m in zip(raw, missing)],
                             dtype=object)
@@ -331,15 +300,8 @@ def preprocess(table: RawTable, label_column: str, *,
 def _stratified_test_mask(labels: np.ndarray, class_count: int,
                           spec: SplitSpec) -> np.ndarray:
     """Boolean mask of test rows; deterministic for a given seed."""
-    n = len(labels)
     rng = np.random.default_rng(spec.seed)
-    mask = np.zeros(n, dtype=bool)
-    if not spec.stratified:
-        n_test = int(round(spec.test_fraction * n))
-        n_test = min(max(n_test, 1), n - 1)
-        order = rng.permutation(n)
-        mask[order[:n_test]] = True
-        return mask
+    mask = np.zeros(len(labels), dtype=bool)
     for cls in range(class_count):
         idx = np.flatnonzero(labels == cls)
         if len(idx) < 2:
@@ -352,15 +314,10 @@ def _stratified_test_mask(labels: np.ndarray, class_count: int,
     return mask
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Disjoint, exhaustive train/test partition stratified by clean label."""
-    test_mask = _stratified_test_mask(dataset.clean_labels, dataset.class_count, spec)
-    return dataset.take(~test_mask), dataset.take(test_mask)
-
-
 def prepare(table: RawTable, label_column: str,
             spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Split-aware preprocessing: the split is decided first, statistics are fit
+    """Disjoint, exhaustive train/test partition stratified by label, with
+    split-aware preprocessing: the split is decided first, statistics are fit
     on the training rows only, then both partitions are materialized."""
     labels, _ = _encode_labels(_label_tokens(table.column(label_column)))
     test_mask = _stratified_test_mask(labels, int(labels.max()) + 1, spec)

@@ -30,8 +30,6 @@ DEFAULT_SIZES = {
     "covertype_like": 581_012,
 }
 
-BUILTIN_DATASETS = tuple(LABEL_COLUMNS)
-
 
 def is_builtin(name: str) -> bool:
     return name in LABEL_COLUMNS

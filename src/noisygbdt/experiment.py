@@ -109,16 +109,24 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(payload)
 
 
-def config_from_dict(payload: dict) -> ExperimentConfig:
-    payload = dict(payload)
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(payload) - known
+def _check_keys(payload: dict, schema, prefix: str = "") -> None:
+    known = {f.name for f in dataclasses.fields(schema)}
+    unknown = sorted(prefix + str(k) for k in set(payload) - known)
     if unknown:
-        raise ExperimentError(f"unknown config keys: {sorted(unknown)}")
-    if "split" in payload and isinstance(payload["split"], dict):
-        payload["split"] = SplitSpec(**payload["split"])
-    if "boost" in payload and isinstance(payload["boost"], dict):
-        payload["boost"] = BoostConfig(**payload["boost"])
+        raise ExperimentError(f"unknown config keys: {unknown}")
+
+
+def config_from_dict(payload: dict) -> ExperimentConfig:
+    if not isinstance(payload, dict):
+        raise ExperimentError("a config must be a mapping")
+    payload = dict(payload)
+    _check_keys(payload, ExperimentConfig)
+    for key, section in (("split", SplitSpec), ("boost", BoostConfig)):
+        if key in payload:
+            if not isinstance(payload[key], dict):
+                raise ExperimentError(f"config key {key!r} must be a mapping")
+            _check_keys(payload[key], section, f"{key}.")
+            payload[key] = section(**payload[key])
     for key in ("noise_kinds", "noise_rates", "detectors", "corrections"):
         if key in payload:
             payload[key] = tuple(payload[key])
@@ -150,18 +158,12 @@ def prepare_data(cfg: ExperimentConfig, trial_seed: int):
         table, label_column = datasets.load_builtin(
             cfg.dataset, n=cfg.subsample,
             seed=derive_seed(trial_seed, "datagen"))
-        if (cfg.subsample is not None
-                and table.n_rows > cfg.subsample):
-            table = subsample_table(table, label_column, cfg.subsample,
-                                    derive_seed(trial_seed, "subsample"))
     else:
-        table = load_csv(cfg.dataset)
-        label_column = cfg.label_column
-        if cfg.subsample is not None and table.n_rows > cfg.subsample:
-            table = subsample_table(table, label_column, cfg.subsample,
-                                    derive_seed(trial_seed, "subsample"))
+        table, label_column = load_csv(cfg.dataset), cfg.label_column
+    if cfg.subsample is not None and table.n_rows > cfg.subsample:
+        table = subsample_table(table, label_column, cfg.subsample,
+                                derive_seed(trial_seed, "subsample"))
     spec = SplitSpec(test_fraction=cfg.split.test_fraction,
-                     stratified=cfg.split.stratified,
                      seed=derive_seed(trial_seed, "split", cfg.split.seed))
     return prepare(table, label_column, spec)
 
@@ -280,10 +282,15 @@ def run_cell(cfg: ExperimentConfig, train_ds, test_ds, kind: str, rate: float,
     return result
 
 
-def _cell_dir(out_dir, stage: int, cfg, kind, rate, detector, correction,
+def _stage_dir(cfg: ExperimentConfig, stage: int) -> Path:
+    """A stage's output directory for the dataset; a CSV dataset is named by
+    its file name, so an absolute path stays inside ``out_dir``."""
+    return Path(cfg.out_dir) / f"stage{stage}" / Path(cfg.dataset).name
+
+
+def _cell_dir(stage: int, cfg, kind, rate, detector, correction,
               trial: int) -> Path:
-    base = (Path(out_dir) / f"stage{stage}" / cfg.dataset
-            / f"{kind}_{rate:.2f}")
+    base = _stage_dir(cfg, stage) / f"{kind}_{rate:.2f}"
     name = f"{correction}_{detector or 'none'}"
     if cfg.trials > 1:
         name += f"_trial{trial}"
@@ -343,8 +350,8 @@ def _run_group_spec(args) -> list[str]:
         results = [exc] * len(cells)
     written = []
     for (detector, correction), result in zip(cells, results):
-        out = _cell_dir(cfg.out_dir, stage, cfg, kind, rate, detector,
-                        correction, trial_index)
+        out = _cell_dir(stage, cfg, kind, rate, detector, correction,
+                        trial_index)
         if _write_cell(out, result):
             written.append(str(out))
     return written
@@ -387,7 +394,7 @@ def run_stage2(cfg: ExperimentConfig) -> list[RunReport]:
 # --------------------------------------------------------------------------
 
 def _collect_stage2_reports(cfg: ExperimentConfig) -> list[RunReport]:
-    root = Path(cfg.out_dir) / "stage2" / cfg.dataset
+    root = _stage_dir(cfg, 2)
     paths = sorted(root.glob("**/report.json"))
     if not paths:
         raise ExperimentError(
@@ -477,7 +484,7 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
             classification_rows.append(row)
     _mark_best(classification_rows, ("metric",))
 
-    out = Path(cfg.out_dir) / "stage3" / cfg.dataset / kind
+    out = _stage_dir(cfg, 3) / kind
     out.mkdir(parents=True, exist_ok=True)
     write_tables_csv(detection_rows, out / "detection_tables.csv")
     write_tables_csv(classification_rows, out / "classification_tables.csv")

@@ -14,9 +14,11 @@ experiment layer does that against the injected noise
 leaf partition; only zero-weight rows and held-out sets go through
 ``Tree.predict``.
 
-Split search is exact greedy for small data (columns presorted once per run,
-all features of a node searched in one vectorised pass) and histogram-based
-for large data.
+The fit size picks the split search, with no setting to override it: up to
+2,048 fitted rows it is exact greedy (columns presorted once per run, all
+features of a node searched in one vectorised pass), above that it uses
+histograms over at most 256 quantile bins per feature. Two classes train one
+logistic tree per round, more classes one softmax tree per class.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from .metrics_report import RunReport, classification_metrics, prediction_type_c
 
 MODEL_FORMAT_VERSION = 1
 
-# auto tree method switches to histograms above this many fitted rows
+# histogram splits above this many fitted rows, exact splits up to it
 _HIST_THRESHOLD = 2048
+_MAX_BINS = 256
+_HESSIAN_FLOOR = 1e-16
 
 _PROB_EPS = 1e-15
 
@@ -44,19 +48,21 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoostConfig:
+    """Boosting, early-stopping and detection-window settings.
+
+    The objective follows the class count and the split search the fit size
+    (see the module docstring); neither is a setting.
+    """
+
     max_depth: int = 6
     learning_rate: float = 0.3
     n_rounds: int = 100
     l2_reg: float = 1.0
     min_split_gain: float = 0.0
-    objective: str = "auto"            # "softprob" | "logistic" | "auto"
     early_stop_min_delta: float = 0.5
     early_stop_patience: int = 10
     warmup_rounds: int = 15
-    hessian_floor: float = 1e-16
     history_window: int = 5
-    tree_method: str = "auto"          # "exact" | "hist" | "auto"
-    max_bins: int = 256
 
     def validate(self, *, with_callback: bool = False) -> None:
         if self.learning_rate <= 0:
@@ -69,23 +75,9 @@ class BoostConfig:
             raise ValueError("n_rounds must be at least 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if self.hessian_floor <= 0:
-            raise ValueError("hessian_floor must be positive")
-        if self.objective not in ("auto", "softprob", "logistic"):
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.tree_method not in ("auto", "exact", "hist"):
-            raise ValueError(f"unknown tree_method {self.tree_method!r}")
         if with_callback and self.warmup_rounds >= self.n_rounds:
             raise ValueError("warmup_rounds must be below n_rounds when a "
                              "correction callback is installed")
-
-
-def resolve_objective(objective: str, class_count: int) -> str:
-    if objective == "auto":
-        return "logistic" if class_count == 2 else "softprob"
-    if objective == "logistic" and class_count != 2:
-        raise ValueError("logistic objective requires exactly 2 classes")
-    return objective
 
 
 # --------------------------------------------------------------------------
@@ -113,8 +105,8 @@ def probabilities(logits: np.ndarray, objective: str) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def grad_hess(probs: np.ndarray, labels: np.ndarray, objective: str,
-              hessian_floor: float = 1e-16) -> tuple[np.ndarray, np.ndarray]:
+def grad_hess(probs: np.ndarray, labels: np.ndarray,
+              objective: str) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy gradient and hessian against the given labels.
 
     softprob returns (n, c) arrays with g_k = p_k - [k == label] and
@@ -126,12 +118,12 @@ def grad_hess(probs: np.ndarray, labels: np.ndarray, objective: str,
     if objective == "logistic":
         p = probs[:, 1] if probs.ndim == 2 else probs
         g = p - (labels == 1)
-        h = np.maximum(hessian_floor, p * (1.0 - p))
+        h = np.maximum(_HESSIAN_FLOOR, p * (1.0 - p))
         return g, h
     n = probs.shape[0]
     g = probs.copy()
     g[np.arange(n), labels] -= 1.0
-    h = np.maximum(hessian_floor, 2.0 * probs * (1.0 - probs))
+    h = np.maximum(_HESSIAN_FLOOR, 2.0 * probs * (1.0 - probs))
     return g, h
 
 
@@ -264,21 +256,21 @@ class _ExactSplitter:
 
 
 class Binner:
-    """Per-feature quantile cut points and integer codes for histogram splits."""
+    """Per-feature quantile cut points, fitted on ``fit_rows``, and integer
+    codes of every row for histogram splits."""
 
-    def __init__(self, features: np.ndarray, max_bins: int = 256,
-                 fit_rows: np.ndarray | None = None):
+    def __init__(self, features: np.ndarray, fit_rows: np.ndarray):
         n, d = features.shape
-        sample = features if fit_rows is None else features[fit_rows]
+        sample = features[fit_rows]
         self.cuts: list[np.ndarray] = []
         for j in range(d):
             uniq = np.unique(sample[:, j])
-            if len(uniq) <= max_bins:
+            if len(uniq) <= _MAX_BINS:
                 cuts = np.array([_midpoint(float(a), float(b))
                                  for a, b in zip(uniq[:-1], uniq[1:])])
             else:
                 qs = np.quantile(sample[:, j],
-                                 np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+                                 np.linspace(0.0, 1.0, _MAX_BINS + 1)[1:-1])
                 cuts = np.unique(qs)
                 cuts = cuts[cuts < uniq[-1]]
             self.cuts.append(cuts)
@@ -290,8 +282,7 @@ class Binner:
         self.codes = codes
         self.offsets = (np.arange(d) * self.stride).astype(np.int32)
         # cut validity mask: candidate bin b exists only when feature j has a cut b
-        self.valid = np.zeros((d, self.stride - 1), dtype=bool) if self.stride > 1 \
-            else np.zeros((d, 0), dtype=bool)
+        self.valid = np.zeros((d, self.stride - 1), dtype=bool)
         for j in range(d):
             self.valid[j, :len(self.cuts[j])] = True
 
@@ -401,6 +392,10 @@ class _TreeGrower:
             self._make_leaf(idx, rows, g_total, h_total)
             return idx
         left_rows, right_rows = splitter.partition(rows, feat, bin_idx)
+        if not (left_rows.size and right_rows.size):
+            # a cut past every row of the node gains only float residue
+            self._make_leaf(idx, rows, g_total, h_total)
+            return idx
         self.feature[idx] = feat
         self.threshold[idx] = splitter.threshold_value(feat, bin_idx)
         # compute the smaller child's histograms; derive the sibling by subtraction
@@ -426,10 +421,12 @@ class _TreeGrower:
         )
 
 
-def _resolve_method(method: str, n_rows: int) -> str:
-    if method == "auto":
-        return "hist" if n_rows > _HIST_THRESHOLD else "exact"
-    return method
+def _split_index(features: np.ndarray, fit_rows: np.ndarray):
+    """The split method the fit size selects and its once-per-run index: a
+    Binner above ``_HIST_THRESHOLD`` fitted rows, the presort up to it."""
+    if fit_rows.size > _HIST_THRESHOLD:
+        return "hist", Binner(features, fit_rows)
+    return "exact", _presort(features)
 
 
 def _fit_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray,
@@ -467,9 +464,7 @@ def build_tree(features: np.ndarray, gradients: np.ndarray,
         raise ValueError("all instance weights are zero")
     g = np.asarray(gradients, dtype=np.float64) * weights
     h = np.asarray(hessians, dtype=np.float64) * weights
-    method = _resolve_method(config.tree_method, rows.size)
-    index = (Binner(features, config.max_bins, fit_rows=rows)
-             if method == "hist" else _presort(features))
+    _, index = _split_index(features, rows)
     return _fit_tree(features, g, h, rows, config, index)[0]
 
 
@@ -640,7 +635,7 @@ class Booster:
         self.dataset = dataset
         self.config = config
         self.test = test
-        self.objective = resolve_objective(config.objective, c)
+        self.objective = "logistic" if c == 2 else "softprob"
         self.width = 1 if self.objective == "logistic" else c
         features = dataset.features
         if not np.isfinite(features).all():
@@ -671,10 +666,8 @@ class Booster:
                                      config.early_stop_patience)
                         if monitor is not None else None)
 
-        fit_rows = np.flatnonzero(self.weights > 0)
-        self.method = _resolve_method(config.tree_method, fit_rows.size)
-        self.index = (Binner(features, config.max_bins, fit_rows=fit_rows)
-                      if self.method == "hist" else _presort(features))
+        self.method, self.index = _split_index(
+            features, np.flatnonzero(self.weights > 0))
 
         self.dynamics = DynamicsLog(n, c, config.history_window)
         self.series = {k: [] for k in ("train_logloss", "monitor_logloss",
@@ -688,8 +681,7 @@ class Booster:
         self.best_test_predicted = None
 
         self.probs = probabilities(self.raw, self.objective)
-        self.g, self.h = grad_hess(self.probs, self.labels, self.objective,
-                                   config.hessian_floor)
+        self.g, self.h = grad_hess(self.probs, self.labels, self.objective)
 
     def _start_scores(self, m: int) -> np.ndarray:
         shape = (m,) if self.width == 1 else (m, self.width)
@@ -720,7 +712,7 @@ class Booster:
         if callback is not None and t >= cfg.warmup_rounds:
             if callback(t, self.dynamics, self.labels, self.weights):
                 self.g, self.h = grad_hess(self.probs, self.labels,
-                                           self.objective, cfg.hessian_floor)
+                                           self.objective)
 
         fitted = self.weights > 0
         rows = np.flatnonzero(fitted)
@@ -755,8 +747,7 @@ class Booster:
         early-stopping decision; the new gradients are the next inputs."""
         objective, series, raw = self.objective, self.series, self.raw
         self.probs = probs = probabilities(raw, objective)
-        self.g, self.h = grad_hess(probs, self.labels, objective,
-                                   self.config.hessian_floor)
+        self.g, self.h = grad_hess(probs, self.labels, objective)
         predicted = probs.argmax(axis=1)
         self.dynamics.record(
             EpochRecord(round=t,

@@ -21,15 +21,15 @@ def make_state(n=10, mode="remove", budget=0.8, class_count=3):
 class TestRemoval:
     def test_basic_removal(self):
         state = make_state(10)
-        apply_removal(state, np.array([1, 4, 7]), round_index=0)
+        apply_removal(state, np.array([1, 4, 7]), np.zeros(10), round_index=0)
         assert state.removed_count == 3
         assert state.weights[[1, 4, 7]].sum() == 0.0
         assert state.weights.sum() == 7.0
 
     def test_idempotent_on_already_removed(self):
         state = make_state(10)
-        apply_removal(state, np.array([2]), round_index=0)
-        apply_removal(state, np.array([2]), round_index=1)
+        apply_removal(state, np.array([2]), np.zeros(10), round_index=0)
+        apply_removal(state, np.array([2]), np.zeros(10), round_index=1)
         assert state.removed_count == 1
         remove_events = [e for e in state.events if e["action"] == "remove"]
         assert len(remove_events) == 1
@@ -37,7 +37,7 @@ class TestRemoval:
     def test_budget_caps_removal_with_event(self):
         state = make_state(100, budget=0.8)
         flagged = np.arange(90)
-        apply_removal(state, flagged, round_index=3)
+        apply_removal(state, flagged, np.zeros(100), round_index=3)
         assert state.removed_count == 80
         assert state.budget_hit_rounds == [3]
 
@@ -58,7 +58,7 @@ class TestRemoval:
     def test_wrong_mode_rejected(self):
         state = make_state(5, mode="relabel")
         with pytest.raises(ValueError):
-            apply_removal(state, np.array([0]))
+            apply_removal(state, np.array([0]), np.zeros(5))
 
     @pytest.mark.properties
     @given(st.integers(min_value=0, max_value=2**31))
@@ -138,7 +138,7 @@ class TestStateInvariants:
 
     def test_summary_fields(self):
         state = make_state(10)
-        apply_removal(state, np.array([0, 1]), round_index=2)
+        apply_removal(state, np.array([0, 1]), np.zeros(10), round_index=2)
         s = state.summary()
         assert s["removed_total"] == 2
         assert s["mode"] == "remove"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from noisygbdt.data_ingest import (ColumnSchema, DataIngestError, SplitSpec,
-                                   load_csv, prepare, preprocess, split)
+from noisygbdt.data_ingest import (DataIngestError, SplitSpec, load_csv,
+                                   prepare, preprocess)
 
 
 def write_csv(tmp_path, text, name="t.csv"):
@@ -52,16 +52,6 @@ class TestLoadCsv:
         table = load_csv(path)
         with pytest.raises(DataIngestError, match="no column"):
             table.column("label")
-
-    def test_schema_hint_overrides_inference(self, tmp_path):
-        path = write_csv(tmp_path, "a,label\n1,0\n2,1\n")
-        table = load_csv(path, schema_hint=[ColumnSchema("a", "categorical")])
-        assert table.column("a").kind == "categorical"
-
-    def test_custom_delimiter(self, tmp_path):
-        path = write_csv(tmp_path, "a;label\n1;0\n2;1\n")
-        table = load_csv(path, delimiter=";")
-        assert table.column("a").kind == "numeric"
 
     def test_bundled_breast_cancer_shape(self):
         import noisygbdt
@@ -140,41 +130,42 @@ def make_balanced(tmp_path, n=100):
 
 class TestSplit:
     def test_balanced_stratified_counts(self, tmp_path):
-        ds = preprocess(load_csv(make_balanced(tmp_path)), "label")
-        train, test = split(ds, SplitSpec(test_fraction=0.2, seed=3))
+        train, test = prepare(load_csv(make_balanced(tmp_path)), "label",
+                              SplitSpec(test_fraction=0.2, seed=3))
         assert len(train) == 80 and len(test) == 20
         assert (test.clean_labels == 0).sum() == 10
         assert (test.clean_labels == 1).sum() == 10
 
     def test_partition_disjoint_exhaustive(self, tmp_path):
-        ds = preprocess(load_csv(make_balanced(tmp_path)), "label")
-        train, test = split(ds, SplitSpec(test_fraction=0.3, seed=0))
+        table = load_csv(make_balanced(tmp_path))
+        train, test = prepare(table, "label",
+                              SplitSpec(test_fraction=0.3, seed=0))
         ids = set(train.instance_ids) | set(test.instance_ids)
-        assert len(train) + len(test) == len(ds)
-        assert ids == set(ds.instance_ids)
+        assert len(train) + len(test) == table.n_rows
+        assert ids == set(range(table.n_rows))
         assert not (set(train.instance_ids) & set(test.instance_ids))
 
     def test_same_seed_identical(self, tmp_path):
-        ds = preprocess(load_csv(make_balanced(tmp_path)), "label")
-        t1, _ = split(ds, SplitSpec(seed=7))
-        t2, _ = split(ds, SplitSpec(seed=7))
+        table = load_csv(make_balanced(tmp_path))
+        t1, _ = prepare(table, "label", SplitSpec(seed=7))
+        t2, _ = prepare(table, "label", SplitSpec(seed=7))
         assert np.array_equal(t1.instance_ids, t2.instance_ids)
 
     def test_proportions_within_one_instance(self, tmp_path):
         rows = ["%d,%d" % (i, 0 if i < 70 else (1 if i < 90 else 2))
                 for i in range(100)]
         path = write_csv(tmp_path, "a,label\n" + "\n".join(rows) + "\n")
-        ds = preprocess(load_csv(path), "label")
-        _, test = split(ds, SplitSpec(test_fraction=0.2, seed=1))
+        _, test = prepare(load_csv(path), "label",
+                          SplitSpec(test_fraction=0.2, seed=1))
         for cls, total in ((0, 70), (1, 20), (2, 10)):
             got = (test.clean_labels == cls).sum()
             assert abs(got - 0.2 * total) <= 1
 
     def test_tiny_class_errors_with_name(self, tmp_path):
         path = write_csv(tmp_path, "a,label\n1,0\n2,0\n3,0\n4,1\n")
-        ds = preprocess(load_csv(path), "label")
         with pytest.raises(DataIngestError, match="class 1"):
-            split(ds, SplitSpec(test_fraction=0.5, seed=0))
+            prepare(load_csv(path), "label",
+                    SplitSpec(test_fraction=0.5, seed=0))
 
     def test_invalid_fraction(self):
         with pytest.raises(DataIngestError):

@@ -332,8 +332,7 @@ class TestCleanSeparableNoFalseAlarms:
     def test_all_detectors_quiet_after_warmup(self):
         # a perfectly fitted, consistently labeled problem must not be flagged
         ds = threshold_dataset(n=200, seed=3)
-        res = train(ds, BoostConfig(n_rounds=20, warmup_rounds=5,
-                                    tree_method="exact"))
+        res = train(ds, BoostConfig(n_rounds=20, warmup_rounds=5))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             scored = score_all(res.dynamics, ds.noisy_labels, ALL_METHODS)

@@ -37,7 +37,7 @@ class TestConfig:
             "dataset": "dry_bean_like",
             "noise_kinds": ["pair"],
             "noise_rates": [0.1, 0.2],
-            "split": {"test_fraction": 0.25, "stratified": True, "seed": 4},
+            "split": {"test_fraction": 0.25, "seed": 4},
             "boost": {"n_rounds": 30, "warmup_rounds": 10},
             "seed": 3,
         }))
@@ -56,9 +56,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("payload, match", [
         ({"boost": {"n_rounds": 10, "warmup_rounds": 15}}, "warmup_rounds"),
-        ({"boost": {"tree_method": "bogus"}}, "tree_method"),
+        ({"boost": {"n_round": 10}}, "boost.n_round"),
         ({"removal_budget": 1.5}, "removal_budget"),
         ({"removal_budget": -0.1}, "removal_budget"),
+        ({"split": {"test_frac": 0.3}}, "split.test_frac"),
+        ({"boost": {"tree_method": "exact", "max_bins": 64}},
+         r"^unknown config keys: \['boost.max_bins', 'boost.tree_method'\]$"),
+        ({"boost": 5}, "^config key 'boost' must be a mapping$"),
+        ({"split": None}, "^config key 'split' must be a mapping$"),
+        ([{"boost": {}}], "^a config must be a mapping$"),
     ])
     def test_cell_errors_caught_at_load(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -427,6 +433,40 @@ class TestCli:
         error = (tmp_path / "runs" / "stage1" / "dry_bean_like" / "pair_0.20"
                  / "none_none" / "error.txt")
         assert "stratified split needs at least 2" in error.read_text()
+
+    @pytest.mark.parametrize("overrides", [
+        {"boost": {"n_round": 10}}, {"split": {"test_frac": 0.3}},
+        {"boost": 5}])
+    def test_print_config_rejects_bad_sections(self, tmp_path, overrides):
+        cfg = self.write_cfg(tmp_path, **overrides)
+        proc = run_cli(["run", "--config", str(cfg), "--print-config"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_csv_dataset_by_absolute_path(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = ["f,g,label"] + [f"{i},{(i * 7) % 5},{i % 2}"
+                                for i in range(80)]
+        (data / "bc.csv").write_text("\n".join(rows) + "\n")
+        cfg = self.write_cfg(tmp_path, dataset=str(data / "bc.csv"),
+                             label_column="label", subsample=None,
+                             noise_rates=[0.3], detectors=["aum"],
+                             corrections=["remove"])
+        for stage in ("1", "2", "3"):
+            proc = run_cli(["run", "--config", str(cfg), "--stage", stage])
+            assert proc.returncode == 0, proc.stderr
+        runs = tmp_path / "runs"
+        assert (runs / "stage1" / "bc.csv" / "pair_0.30" / "none_none"
+                / "report.json").exists()
+        assert (runs / "stage2" / "bc.csv" / "pair_0.30" / "remove_aum"
+                / "report.json").exists()
+        with open(runs / "stage3" / "bc.csv" / "pair"
+                  / "classification_tables.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["correction"] for r in rows} == {"none", "remove"}
+        assert sorted(p.name for p in data.iterdir()) == ["bc.csv"]
 
     def test_print_config_rejects_what_a_cell_would(self, tmp_path):
         cfg = self.write_cfg(tmp_path, boost={"n_rounds": 10,

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blob_dataset, make_dataset, threshold_dataset
-from noisygbdt import noise
+from noisygbdt import gbdt, noise
 from noisygbdt.correct import NoiseHandler
 from noisygbdt.experiment import ExperimentConfig, prepare_data
 from noisygbdt.metrics_report import classification_metrics
-from noisygbdt.gbdt import (BoostConfig, Booster, EarlyStopper, Ensemble,
-                            TrainingDivergedError, Tree, _ExactSplitter,
-                            _midpoint, _presort, _split_gains, build_tree,
-                            grad_hess, leaf_value, probabilities, train)
+from noisygbdt.gbdt import (Binner, BoostConfig, Booster, EarlyStopper,
+                            Ensemble, TrainingDivergedError, Tree,
+                            _ExactSplitter, _fit_tree, _midpoint, _presort,
+                            _split_gains, build_tree, grad_hess, leaf_value,
+                            probabilities, train)
 
 
 class TestProbabilities:
@@ -138,15 +139,15 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="hessians"):
             build_tree(x, np.ones(4), h, np.ones(4), BoostConfig())
 
-    def test_exact_and_hist_agree_on_small_data(self):
+    def test_exact_and_hist_agree_on_small_data(self, monkeypatch):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(120, 4))
         g = rng.normal(size=120)
         h = np.abs(rng.normal(size=120)) + 0.1
-        t_exact = build_tree(x, g, h, np.ones(120),
-                             BoostConfig(tree_method="exact", max_depth=3))
-        t_hist = build_tree(x, g, h, np.ones(120),
-                            BoostConfig(tree_method="hist", max_depth=3))
+        cfg = BoostConfig(max_depth=3)
+        t_exact = build_tree(x, g, h, np.ones(120), cfg)
+        monkeypatch.setattr(gbdt, "_HIST_THRESHOLD", 0)
+        t_hist = build_tree(x, g, h, np.ones(120), cfg)
         # with fewer distinct values than bins the cut grids coincide
         assert np.allclose(t_exact.predict(x), t_hist.predict(x))
 
@@ -159,11 +160,32 @@ class TestBuildTree:
         h = np.abs(rng.normal(size=n)) + 0.1
         drop = rng.random(n) < 0.3
         w = np.where(drop, 0.0, 1.0)
-        t_w = build_tree(x, g, h, w, BoostConfig(tree_method="exact"))
+        t_w = build_tree(x, g, h, w, BoostConfig())
         keep = ~drop
         t_d = build_tree(x[keep], g[keep], h[keep], np.ones(keep.sum()),
-                         BoostConfig(tree_method="exact"))
+                         BoostConfig())
         assert t_w.to_dict() == t_d.to_dict()
+
+
+class TestHistSplitter:
+    def test_every_leaf_is_reached_by_a_fitted_row(self):
+        # a cut past every fitted row of a node would split off an empty
+        # leaf of value 0 that only held-out or zero-weight rows reach
+        rng = np.random.default_rng(11)
+        cfg = BoostConfig()
+        for _ in range(300):
+            n, d = int(rng.integers(2, 200)), int(rng.integers(1, 5))
+            x = np.round(rng.normal(size=(n, d)), 1)
+            labels = rng.integers(0, 2, size=n)
+            g, h = grad_hess(probabilities(rng.normal(size=n), "logistic"),
+                             labels, "logistic")
+            rows = np.flatnonzero(rng.random(n) < 0.8)
+            if rows.size == 0:
+                rows = np.arange(n)
+            tree, leaf_of_row = _fit_tree(x, g, h, rows, cfg,
+                                          Binner(x, rows))
+            leaves = np.flatnonzero(tree.feature < 0)
+            assert set(leaves.tolist()) == set(leaf_of_row[rows].tolist())
 
 
 def _reference_best_split(self, rows, g, h, g_total, h_total):
@@ -267,7 +289,7 @@ class TestExactSplitterOracle:
         noisy, _ = noise.inject(train_ds.clean_labels,
                                 noise.pair_matrix(2, 0.3), seed=7)
         ds = train_ds.with_noise(noisy)
-        cfg = BoostConfig(n_rounds=12, tree_method="exact")
+        cfg = BoostConfig(n_rounds=12)
         new = train(ds, cfg).ensemble.to_dict()
         monkeypatch.setattr(_ExactSplitter, "best_split",
                             _reference_best_split)
@@ -340,7 +362,7 @@ class TestTrain:
         rng = np.random.default_rng(1)
         drop = rng.random(len(ds)) < 0.25
         weights = np.where(drop, 0.0, 1.0)
-        cfg = BoostConfig(n_rounds=6, warmup_rounds=2, tree_method="exact")
+        cfg = BoostConfig(n_rounds=6, warmup_rounds=2)
         res_w = train(ds, cfg, initial_weights=weights)
         res_d = train(ds.take(~drop), cfg)
         trees_w = [[t.to_dict() for t in r] for r in res_w.ensemble.rounds]
@@ -420,20 +442,24 @@ def _noisy_blobs(seed=2):
 class TestBooster:
     @pytest.mark.parametrize("method", ["exact", "hist"])
     @pytest.mark.parametrize("classes", [2, 3])
-    def test_cached_scores_equal_tree_predict_sums(self, method, classes):
+    def test_cached_scores_equal_tree_predict_sums(self, method, classes,
+                                                   monkeypatch):
         # zero initial weights plus a removal each round: the cached training
         # scores must equal summing Tree.predict over the ensemble, bit for bit
         ds = blob_dataset(n=240, classes=classes, seed=5, separation=1.0)
         weights = np.ones(len(ds))
         weights[::9] = 0.0
-        cfg = BoostConfig(n_rounds=12, warmup_rounds=3, tree_method=method,
-                          max_bins=16)
+        if method == "hist":
+            monkeypatch.setattr(gbdt, "_HIST_THRESHOLD", 0)
+            monkeypatch.setattr(gbdt, "_MAX_BINS", 16)
+        cfg = BoostConfig(n_rounds=12, warmup_rounds=3)
 
         def remove_some(t, dynamics, labels, w):
             w[(np.arange(len(w)) * 7 + t) % 23 == 0] = 0.0
             return False
 
         booster = Booster(ds, cfg, initial_weights=weights)
+        assert booster.method == method
         while not booster.done:
             booster.step(remove_some)
             expected = booster.ensemble.raw_scores(ds.features)
