@@ -141,36 +141,27 @@ def fit_gmm_1d(values: np.ndarray, max_iter: int = 200,
 
 
 def gmm_decision_threshold(gmm: Gmm1D) -> float:
-    """Score value where the posterior of the higher-mean component crosses
-    one half, located between (or bracketing outward from) the two means."""
-    lo, hi = float(gmm.means[0]), float(gmm.means[1])
-    if hi <= lo:
-        return lo
+    """Score value where the posterior of the higher-mean component rises
+    through one half.
 
-    def upper_minus_half(x: float) -> float:
-        return float(gmm.posterior_upper(np.array([x]))[0]) - 0.5
-
-    span = hi - lo
-    a, b = lo, hi
-    for _ in range(64):  # expand the bracket when a heavy component engulfs a mean
-        if upper_minus_half(a) <= 0.0:
-            break
-        a -= span
-    for _ in range(64):
-        if upper_minus_half(b) >= 0.0:
-            break
-        b += span
-    if upper_minus_half(a) > 0.0:
-        return -math.inf
-    if upper_minus_half(b) < 0.0:
-        return math.inf
-    for _ in range(100):
-        mid = 0.5 * (a + b)
-        if upper_minus_half(mid) >= 0.0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    That is the rising root of D, the upper component's weighted log-density
+    minus the lower one's: a quadratic a y^2 + b y + c in y = x - mean_0,
+    linear when the variances are equal. Its slope b = gap / var_1 at the
+    lower mean is positive, so the root -2c / (b + sqrt(b^2 - 4ac)) has no
+    cancellation. When the curves never cross, the wider component wins
+    everywhere: -inf for the upper one, +inf for the lower one.
+    """
+    (m0, m1), (v0, v1), (w0, w1) = gmm.means, gmm.variances, gmm.weights
+    d = float(m1 - m0)
+    if d <= 0.0:
+        return float(m0)
+    a = 0.5 / v0 - 0.5 / v1
+    b = d / v1
+    c = math.log(w1 / w0) - 0.5 * math.log(v1 / v0) - 0.5 * d * d / v1
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return -math.inf if a > 0.0 else math.inf
+    return float(m0) - 2.0 * c / (b + math.sqrt(disc))
 
 
 def _flag_none(scores: np.ndarray, polarity: str,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import traceback
+import typing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -53,11 +54,11 @@ class ExperimentConfig:
     dataset: str = "dry_bean_like"
     label_column: str | None = None          # required for csv paths
     split: SplitSpec = field(default_factory=SplitSpec)
-    noise_kinds: tuple = ("pair", "symmetric")
-    noise_rates: tuple = DEFAULT_RATES
+    noise_kinds: tuple[str, ...] = ("pair", "symmetric")
+    noise_rates: tuple[float, ...] = DEFAULT_RATES
     boost: BoostConfig = field(default_factory=BoostConfig)
-    detectors: tuple = detect.ALL_METHODS
-    corrections: tuple = ("remove", "relabel")
+    detectors: tuple[str, ...] = detect.ALL_METHODS
+    corrections: tuple[str, ...] = ("remove", "relabel")
     # clean-test monitoring: a noisy holdout penalizes exactly the sharpening
     # that correction buys, truncating corrected runs back to the warm-up point
     monitor: str = "clean_test"
@@ -109,28 +110,45 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(payload)
 
 
-def _check_keys(payload: dict, schema, prefix: str = "") -> None:
-    known = {f.name for f in dataclasses.fields(schema)}
-    unknown = sorted(prefix + str(k) for k in set(payload) - known)
+def _fits(value, hint) -> bool:
+    """Whether a YAML value fits a field annotated ``hint``: a tuple takes a
+    list, an int no bool or float, a float also an int, ``X | None`` null."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_fits(item, args[0]) for item in value))
+    if type(None) in args:
+        return value is None or _fits(value, args[0])
+    return (isinstance(value, (int, float) if hint is float else hint)
+            and not isinstance(value, bool))
+
+
+def _section(payload, schema, prefix: str = "") -> dict:
+    """The keyword arguments of ``schema`` from a config mapping, with its
+    keys and value types checked against the dataclass fields."""
+    if not isinstance(payload, dict):
+        raise ExperimentError(f"config key {prefix[:-1]!r} must be a mapping"
+                              if prefix else "a config must be a mapping")
+    hints = typing.get_type_hints(schema)
+    unknown = sorted(prefix + str(k) for k in set(payload) - set(hints))
     if unknown:
         raise ExperimentError(f"unknown config keys: {unknown}")
+    declared = {f.name: f.type for f in dataclasses.fields(schema)}
+    kwargs = {}
+    for key, value in payload.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = hint(**_section(value, hint, f"{prefix}{key}."))
+        elif not _fits(value, hint):
+            expected = declared[key].replace("tuple", "list")
+            raise ExperimentError(f"config key {prefix + key!r} must be "
+                                  f"{expected}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    return kwargs
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise ExperimentError("a config must be a mapping")
-    payload = dict(payload)
-    _check_keys(payload, ExperimentConfig)
-    for key, section in (("split", SplitSpec), ("boost", BoostConfig)):
-        if key in payload:
-            if not isinstance(payload[key], dict):
-                raise ExperimentError(f"config key {key!r} must be a mapping")
-            _check_keys(payload[key], section, f"{key}.")
-            payload[key] = section(**payload[key])
-    for key in ("noise_kinds", "noise_rates", "detectors", "corrections"):
-        if key in payload:
-            payload[key] = tuple(payload[key])
-    cfg = ExperimentConfig(**payload)
+    cfg = ExperimentConfig(**_section(payload, ExperimentConfig))
     cfg.validate()
     return cfg
 
@@ -402,7 +420,7 @@ def _collect_stage2_reports(cfg: ExperimentConfig) -> list[RunReport]:
     return [load_report(p) for p in paths]
 
 
-def _mark_best(rows: list[dict], group_keys, maximize=True) -> None:
+def _mark_best(rows: list[dict], group_keys) -> None:
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault(tuple(row[k] for k in group_keys), []).append(row)
@@ -412,9 +430,18 @@ def _mark_best(rows: list[dict], group_keys, maximize=True) -> None:
             m["is_best"] = "yes" if m["value"] == best else ""
 
 
-def _aggregate(values: list[float]) -> tuple[float, float]:
+def _table_row(cfg: ExperimentConfig, kind: str, rate: float, detector: str,
+               correction: str, metric: str, values: list[float]) -> dict:
+    """One stage-3 row: the mean of ``values`` over trials, with their std in
+    the note when the config runs several trials."""
     arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+    note = "subsampled" if cfg.subsample else ""
+    if cfg.trials > 1:
+        note = (note + f" std={float(arr.std()):.2f}").strip()
+    return {"dataset": cfg.dataset, "noise_kind": kind, "rate": rate,
+            "detection": detector, "correction": correction, "metric": metric,
+            "value": round(float(arr.mean()), 2), "evaluated_at": "early_stop",
+            "note": note, "is_best": ""}
 
 
 def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
@@ -432,7 +459,6 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
     reports = _collect_stage2_reports(cfg)
     reports = [r for r in reports if r.noise_kind == kind
                and 0.1 - 1e-9 <= r.noise_rate <= 0.4 + 1e-9]
-    note = "subsampled" if cfg.subsample else ""
 
     detection_rows: list[dict] = []
     for rate in COMPARISON_DETECTION_RATES:
@@ -447,16 +473,10 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
                     value = 100.0 * methods[detector]["accuracy"]
                     best_per_trial[r.seed] = max(
                         value, best_per_trial.get(r.seed, value))
-            if not best_per_trial:
-                continue
-            mean, std = _aggregate(list(best_per_trial.values()))
-            row = {"dataset": cfg.dataset, "noise_kind": kind, "rate": rate,
-                   "detection": detector, "correction": "best",
-                   "metric": "detection_accuracy", "value": round(mean, 2),
-                   "evaluated_at": "early_stop", "note": note, "is_best": ""}
-            if cfg.trials > 1:
-                row["note"] = (note + f" std={std:.2f}").strip()
-            detection_rows.append(row)
+            if best_per_trial:
+                detection_rows.append(_table_row(
+                    cfg, kind, rate, detector, "best", "detection_accuracy",
+                    list(best_per_trial.values())))
     _mark_best(detection_rows, ("rate",))
 
     classification_rows: list[dict] = []
@@ -468,20 +488,11 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
         cells = [r for r in reports
                  if abs(r.noise_rate - rate) < 1e-9
                  and r.correction == correction and r.detection == detector]
-        if not cells:
-            continue
         for metric in ("accuracy", "precision", "recall", "f1"):
             values = [100.0 * r.final[metric] for r in cells if r.final]
-            if not values:
-                continue
-            mean, std = _aggregate(values)
-            row = {"dataset": cfg.dataset, "noise_kind": kind, "rate": rate,
-                   "detection": detector, "correction": correction,
-                   "metric": metric, "value": round(mean, 2),
-                   "evaluated_at": "early_stop", "note": note, "is_best": ""}
-            if cfg.trials > 1:
-                row["note"] = (note + f" std={std:.2f}").strip()
-            classification_rows.append(row)
+            if values:
+                classification_rows.append(_table_row(
+                    cfg, kind, rate, detector, correction, metric, values))
     _mark_best(classification_rows, ("metric",))
 
     out = _stage_dir(cfg, 3) / kind

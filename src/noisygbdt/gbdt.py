@@ -17,8 +17,14 @@ leaf partition; only zero-weight rows and held-out sets go through
 The fit size picks the split search, with no setting to override it: up to
 2,048 fitted rows it is exact greedy (columns presorted once per run, all
 features of a node searched in one vectorised pass), above that it uses
-histograms over at most 256 quantile bins per feature. Two classes train one
-logistic tree per round, more classes one softmax tree per class.
+histograms over at most 256 quantile bins per feature. One recursive grower
+(``_TreeGrower.grow``) holds the stop rules for both searches; each splitter
+brings its own search, partition and node statistics.
+
+Two classes train one logistic tree per round, more classes one softmax tree
+per class. Raw scores, gradients and hessians are always (n, width) arrays,
+width 1 or c, and ``probabilities``/``grad_hess`` read the objective off that
+shape.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ import numpy as np
 
 from .data_ingest import Dataset
 from .dynamics import DynamicsLog, EpochRecord
-from .metrics_report import RunReport, classification_metrics, prediction_type_counts
+from .metrics_report import (SERIES_COLUMNS, RunReport, classification_metrics,
+                             prediction_type_counts)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -84,45 +91,43 @@ class BoostConfig:
 # objective math
 # --------------------------------------------------------------------------
 
-def probabilities(logits: np.ndarray, objective: str) -> np.ndarray:
-    """Class probabilities from raw scores.
+def probabilities(logits: np.ndarray) -> np.ndarray:
+    """Class probabilities (n, c) from raw scores (n, width).
 
-    softprob: row-wise softmax of (n, c) logits. logistic: sigmoid of (n,)
-    logits expanded to columns [1-p, p].
+    One column is a logistic score, expanded to columns [1-p, p] of its
+    sigmoid p; more columns are softmax logits.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite logit")
-    if objective == "logistic":
-        if logits.ndim != 1:
-            raise ValueError("logistic expects one raw score per instance")
-        p = 1.0 / (1.0 + np.exp(-logits))
-        return np.stack([1.0 - p, p], axis=1)
     if logits.ndim != 2:
-        raise ValueError("softprob expects (n, c) logits")
+        raise ValueError("expected (n, width) raw scores")
+    if logits.shape[1] == 1:
+        p = 1.0 / (1.0 + np.exp(-logits))
+        return np.concatenate([1.0 - p, p], axis=1)
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def grad_hess(probs: np.ndarray, labels: np.ndarray,
-              objective: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy gradient and hessian against the given labels.
+def grad_hess(probs: np.ndarray,
+              labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy gradient and hessian of the raw scores, (n, width),
+    against the given labels.
 
-    softprob returns (n, c) arrays with g_k = p_k - [k == label] and
-    h_k = max(floor, 2 p_k (1 - p_k)); logistic returns (n,) arrays with
-    g = p - [label == 1] and h = max(floor, p (1 - p)).
+    Two classes have one logistic score: g = p_1 - [label == 1] and
+    h = max(floor, p_1 (1 - p_1)). More classes have one softmax score per
+    class: g_k = p_k - [k == label] and h_k = max(floor, 2 p_k (1 - p_k)).
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    if objective == "logistic":
-        p = probs[:, 1] if probs.ndim == 2 else probs
-        g = p - (labels == 1)
+    if probs.shape[1] == 2:
+        p = probs[:, 1:]
+        g = p - (labels == 1)[:, None]
         h = np.maximum(_HESSIAN_FLOOR, p * (1.0 - p))
         return g, h
-    n = probs.shape[0]
     g = probs.copy()
-    g[np.arange(n), labels] -= 1.0
+    g[np.arange(len(g)), labels] -= 1.0
     h = np.maximum(_HESSIAN_FLOOR, 2.0 * probs * (1.0 - probs))
     return g, h
 
@@ -254,6 +259,19 @@ class _ExactSplitter:
         go_left = self.x[rows, feature] <= threshold
         return rows[go_left], rows[~go_left]
 
+    def node_stats(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
+        return float(g[rows].sum()), float(h[rows].sum())
+
+    def search(self, rows, g, h, stats):
+        return self.best_split(rows, g, h, *stats)
+
+    def child_stats(self, stats, left_rows, right_rows, g, h):
+        return (self.node_stats(left_rows, g, h),
+                self.node_stats(right_rows, g, h))
+
+    def threshold_value(self, feature: int, threshold: float) -> float:
+        return threshold
+
 
 class Binner:
     """Per-feature quantile cut points, fitted on ``fit_rows``, and integer
@@ -323,6 +341,26 @@ class _HistSplitter:
         go_left = self.b.codes[rows, feature] <= bin_idx
         return rows[go_left], rows[~go_left]
 
+    @staticmethod
+    def _stats(gh: np.ndarray, hh: np.ndarray):
+        # every feature histogram sums all node rows, so row 0 has the totals
+        return float(gh[0].sum()), float(hh[0].sum()), gh, hh
+
+    def node_stats(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
+        return self._stats(*self.node_hists(rows, g, h))
+
+    def search(self, rows, g, h, stats):
+        return self.best_split(stats[2:], *stats[:2])
+
+    def child_stats(self, stats, left_rows, right_rows, g, h):
+        """The smaller child's histograms are built, its sibling's are the
+        parent's minus them."""
+        gh, hh = stats[2:]
+        small_left = len(left_rows) <= len(right_rows)
+        sg, sh = self.node_hists(left_rows if small_left else right_rows, g, h)
+        small, large = self._stats(sg, sh), self._stats(gh - sg, hh - sh)
+        return (small, large) if small_left else (large, small)
+
     def threshold_value(self, feature: int, bin_idx: int) -> float:
         return float(self.b.cuts[feature][bin_idx])
 
@@ -350,65 +388,37 @@ class _TreeGrower:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _make_leaf(self, idx: int, rows: np.ndarray, g_total: float,
-                   h_total: float) -> None:
+    def grow(self, splitter, rows: np.ndarray, g: np.ndarray, h: np.ndarray,
+             depth: int, stats) -> int:
+        """Grow the subtree of ``rows``; ``stats`` are the splitter's
+        statistics of those rows (``node_stats``), led by their gradient and
+        hessian sums: exact adds nothing, hist the histograms. ``search``
+        gives the best cut (exact: a threshold, hist: a bin index),
+        ``threshold_value`` its threshold, ``child_stats`` the children's.
+
+        A node is a leaf at ``max_depth``, below 2 rows, when no cut gains
+        more than ``min_split_gain``, or when the best cut leaves no row on
+        one side (a cut past every row of the node gains only float residue).
+        """
+        idx = self._new_node()
+        g_total, h_total = stats[:2]
+        if depth < self.cfg.max_depth and len(rows) >= 2:
+            gain, feat, cut = splitter.search(rows, g, h, stats)
+            if feat is not None and gain > self.cfg.min_split_gain:
+                left_rows, right_rows = splitter.partition(rows, feat, cut)
+                if left_rows.size and right_rows.size:
+                    self.feature[idx] = feat
+                    self.threshold[idx] = splitter.threshold_value(feat, cut)
+                    left, right = splitter.child_stats(stats, left_rows,
+                                                       right_rows, g, h)
+                    self.left[idx] = self.grow(splitter, left_rows, g, h,
+                                               depth + 1, left)
+                    self.right[idx] = self.grow(splitter, right_rows, g, h,
+                                                depth + 1, right)
+                    return idx
         self.value[idx] = leaf_value(g_total, h_total, self.cfg.l2_reg,
                                      self.cfg.learning_rate)
         self.leaf_of_row[rows] = idx
-
-    def grow_exact(self, splitter: _ExactSplitter, rows: np.ndarray,
-                   g: np.ndarray, h: np.ndarray, depth: int) -> int:
-        idx = self._new_node()
-        g_total = float(g[rows].sum())
-        h_total = float(h[rows].sum())
-        if depth >= self.cfg.max_depth or len(rows) < 2:
-            self._make_leaf(idx, rows, g_total, h_total)
-            return idx
-        gain, feat, thr = splitter.best_split(rows, g, h, g_total, h_total)
-        if feat is None or gain <= self.cfg.min_split_gain:
-            self._make_leaf(idx, rows, g_total, h_total)
-            return idx
-        left_rows, right_rows = splitter.partition(rows, feat, thr)
-        self.feature[idx] = feat
-        self.threshold[idx] = thr
-        self.left[idx] = self.grow_exact(splitter, left_rows, g, h, depth + 1)
-        self.right[idx] = self.grow_exact(splitter, right_rows, g, h, depth + 1)
-        return idx
-
-    def grow_hist(self, splitter: _HistSplitter, rows: np.ndarray,
-                  g: np.ndarray, h: np.ndarray, depth: int, hists=None) -> int:
-        idx = self._new_node()
-        if hists is None:
-            hists = splitter.node_hists(rows, g, h)
-        gh, hh = hists
-        # every feature histogram sums all node rows, so row 0 carries the totals
-        g_total = float(gh[0].sum())
-        h_total = float(hh[0].sum())
-        if depth >= self.cfg.max_depth or len(rows) < 2:
-            self._make_leaf(idx, rows, g_total, h_total)
-            return idx
-        gain, feat, bin_idx = splitter.best_split(hists, g_total, h_total)
-        if feat is None or gain <= self.cfg.min_split_gain:
-            self._make_leaf(idx, rows, g_total, h_total)
-            return idx
-        left_rows, right_rows = splitter.partition(rows, feat, bin_idx)
-        if not (left_rows.size and right_rows.size):
-            # a cut past every row of the node gains only float residue
-            self._make_leaf(idx, rows, g_total, h_total)
-            return idx
-        self.feature[idx] = feat
-        self.threshold[idx] = splitter.threshold_value(feat, bin_idx)
-        # compute the smaller child's histograms; derive the sibling by subtraction
-        if len(left_rows) <= len(right_rows):
-            left_hists = splitter.node_hists(left_rows, g, h)
-            right_hists = (gh - left_hists[0], hh - left_hists[1])
-        else:
-            right_hists = splitter.node_hists(right_rows, g, h)
-            left_hists = (gh - right_hists[0], hh - right_hists[1])
-        self.left[idx] = self.grow_hist(splitter, left_rows, g, h, depth + 1,
-                                        left_hists)
-        self.right[idx] = self.grow_hist(splitter, right_rows, g, h, depth + 1,
-                                         right_hists)
         return idx
 
     def freeze(self) -> Tree:
@@ -437,11 +447,9 @@ def _fit_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray,
     ``index`` is built once per training run: a Binner selects the
     histogram splitter, a ``_presort`` result the exact one."""
     grower = _TreeGrower(config, len(g))
-    if isinstance(index, Binner):
-        grower.grow_hist(_HistSplitter(index, config), rows, g, h, 0)
-    else:
-        grower.grow_exact(_ExactSplitter(features, config, index), rows, g, h,
-                          0)
+    splitter = (_HistSplitter(index, config) if isinstance(index, Binner)
+                else _ExactSplitter(features, config, index))
+    grower.grow(splitter, rows, g, h, 0, splitter.node_stats(rows, g, h))
     return grower.freeze(), grower.leaf_of_row
 
 
@@ -477,7 +485,6 @@ class Ensemble:
     objective: str            # resolved: "softprob" | "logistic"
     class_count: int
     feature_count: int
-    base_score: float = 0.0
     rounds: list = field(default_factory=list)   # per round: list[Tree]
 
     @property
@@ -485,18 +492,13 @@ class Ensemble:
         return len(self.rounds)
 
     def raw_scores(self, features: np.ndarray) -> np.ndarray:
-        """(n,) raw score for logistic, (n, c) for softprob."""
+        """(n, width) raw scores: one column for logistic, c for softprob."""
         if features.shape[1] != self.feature_count:
             raise ValueError(
                 f"feature width {features.shape[1]} does not match the "
                 f"trained width {self.feature_count}")
-        n = features.shape[0]
-        if self.objective == "logistic":
-            out = np.full(n, self.base_score)
-            for trees in self.rounds:
-                out += trees[0].predict(features)
-            return out
-        out = np.full((n, self.class_count), self.base_score)
+        width = 1 if self.objective == "logistic" else self.class_count
+        out = np.zeros((features.shape[0], width))
         for trees in self.rounds:
             for k, tree in enumerate(trees):
                 out[:, k] += tree.predict(features)
@@ -505,14 +507,10 @@ class Ensemble:
     def predict(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-class logits (n, c) and probabilities (n, c)."""
         raw = self.raw_scores(features)
-        probs = probabilities(raw, self.objective)
-        return expand_logits(raw, self.objective), probs
+        return expand_logits(raw), probabilities(raw)
 
     def truncated(self, n_rounds: int) -> "Ensemble":
-        return Ensemble(objective=self.objective, class_count=self.class_count,
-                        feature_count=self.feature_count,
-                        base_score=self.base_score,
-                        rounds=self.rounds[:n_rounds])
+        return replace(self, rounds=self.rounds[:n_rounds])
 
     def to_dict(self) -> dict:
         return {
@@ -520,7 +518,6 @@ class Ensemble:
             "objective": self.objective,
             "class_count": self.class_count,
             "feature_count": self.feature_count,
-            "base_score": self.base_score,
             "rounds": [[t.to_dict() for t in trees] for trees in self.rounds],
         }
 
@@ -532,17 +529,17 @@ class Ensemble:
             objective=payload["objective"],
             class_count=int(payload["class_count"]),
             feature_count=int(payload["feature_count"]),
-            base_score=float(payload["base_score"]),
             rounds=[[Tree.from_dict(t) for t in trees]
                     for trees in payload["rounds"]],
         )
 
 
-def expand_logits(raw: np.ndarray, objective: str) -> np.ndarray:
-    """Uniform (n, c) logit view: logistic raw scores become [0, z] rows."""
-    if objective == "logistic":
-        return np.stack([np.zeros_like(raw), raw], axis=1)
-    return raw
+def expand_logits(raw: np.ndarray) -> np.ndarray:
+    """A new (n, c) logit array from (n, width) raw scores: a logistic
+    score z becomes the row [0, z]."""
+    if raw.shape[1] == 1:
+        return np.concatenate([np.zeros_like(raw), raw], axis=1)
+    return raw.copy()
 
 
 # --------------------------------------------------------------------------
@@ -597,10 +594,6 @@ def _weighted_mean_logloss(probs, labels, weights) -> float:
     return float((terms * weights).sum() / total)
 
 
-def _summed_logloss(probs, labels) -> float:
-    return float(_logloss_terms(probs, labels).sum())
-
-
 def _weighted_accuracy(predicted, labels, weights) -> float:
     total = weights.sum()
     if total == 0:
@@ -650,10 +643,10 @@ class Booster:
 
         self.ensemble = Ensemble(objective=self.objective, class_count=c,
                                  feature_count=features.shape[1])
-        self.raw = self._start_scores(n)
+        self.raw = np.zeros((n, self.width))
         self.raw_test = self.raw_mon = self.mon_features = None
         if test is not None:
-            self.raw_test = self._start_scores(len(test))
+            self.raw_test = np.zeros((len(test), self.width))
         if monitor == "test":
             # the monitored loss is read off the test scores
             if test is None:
@@ -661,7 +654,7 @@ class Booster:
             self.mon_labels = test.clean_labels
         elif monitor is not None:
             self.mon_features, self.mon_labels = monitor
-            self.raw_mon = self._start_scores(len(self.mon_labels))
+            self.raw_mon = np.zeros((len(self.mon_labels), self.width))
         self.stopper = (EarlyStopper(config.early_stop_min_delta,
                                      config.early_stop_patience)
                         if monitor is not None else None)
@@ -670,9 +663,7 @@ class Booster:
             features, np.flatnonzero(self.weights > 0))
 
         self.dynamics = DynamicsLog(n, c, config.history_window)
-        self.series = {k: [] for k in ("train_logloss", "monitor_logloss",
-                                       "test_logloss", "train_accuracy",
-                                       "test_accuracy")}
+        self.series = {k: [] for k in SERIES_COLUMNS}
         self.pred_types = {"true_match": [], "noisy_match": [], "other": []}
         self.has_noise = bool(
             (dataset.clean_labels != dataset.noisy_labels).any())
@@ -680,12 +671,8 @@ class Booster:
         self.rounds_trained = 0
         self.best_test_predicted = None
 
-        self.probs = probabilities(self.raw, self.objective)
-        self.g, self.h = grad_hess(self.probs, self.labels, self.objective)
-
-    def _start_scores(self, m: int) -> np.ndarray:
-        shape = (m,) if self.width == 1 else (m, self.width)
-        return np.full(shape, self.ensemble.base_score)
+        self.probs = probabilities(self.raw)
+        self.g, self.h = grad_hess(self.probs, self.labels)
 
     @property
     def done(self) -> bool:
@@ -708,11 +695,10 @@ class Booster:
         """
         if self.done:
             raise RuntimeError("training has finished")
-        cfg, width, t = self.config, self.width, self.rounds_trained
+        cfg, t = self.config, self.rounds_trained
         if callback is not None and t >= cfg.warmup_rounds:
             if callback(t, self.dynamics, self.labels, self.weights):
-                self.g, self.h = grad_hess(self.probs, self.labels,
-                                           self.objective)
+                self.g, self.h = grad_hess(self.probs, self.labels)
 
         fitted = self.weights > 0
         rows = np.flatnonzero(fitted)
@@ -726,18 +712,17 @@ class Booster:
         if self.raw_mon is not None:
             held_out.append((self.mon_features, self.raw_mon))
         trees = []
-        g_cols, h_cols = self.g.reshape(-1, width), self.h.reshape(-1, width)
-        for k in range(width):
-            tree, leaf_of_row = _fit_tree(features, g_cols[:, k] * self.weights,
-                                          h_cols[:, k] * self.weights, rows,
+        for k in range(self.width):
+            tree, leaf_of_row = _fit_tree(features, self.g[:, k] * self.weights,
+                                          self.h[:, k] * self.weights, rows,
                                           cfg, self.index)
             trees.append(tree)
             update = tree.value[leaf_of_row]
             if unfitted.size:
                 update[unfitted] = tree.predict(features[unfitted])
-            self.raw.reshape(-1, width)[:, k] += update
+            self.raw[:, k] += update
             for x, scores in held_out:
-                scores.reshape(-1, width)[:, k] += tree.predict(x)
+                scores[:, k] += tree.predict(x)
         self.ensemble.rounds.append(trees)
         self.rounds_trained = t + 1
         self._evaluate(t)
@@ -745,18 +730,14 @@ class Booster:
     def _evaluate(self, t: int) -> None:
         """Record round ``t``'s post-update state, its series values and the
         early-stopping decision; the new gradients are the next inputs."""
-        objective, series, raw = self.objective, self.series, self.raw
-        self.probs = probs = probabilities(raw, objective)
-        self.g, self.h = grad_hess(probs, self.labels, objective)
+        series = self.series
+        self.probs = probs = probabilities(self.raw)
+        self.g, self.h = grad_hess(probs, self.labels)
         predicted = probs.argmax(axis=1)
         self.dynamics.record(
-            EpochRecord(round=t,
-                        logits=(expand_logits(raw, objective)
-                                if self.width == 1 else raw.copy()),
-                        probs=probs,
+            EpochRecord(round=t, logits=expand_logits(self.raw), probs=probs,
                         predicted=predicted,
-                        max_abs_gradient=(np.abs(self.g) if self.width == 1
-                                          else np.abs(self.g).max(axis=1))),
+                        max_abs_gradient=np.abs(self.g).max(axis=1)),
             self.labels)
 
         train_loss = _weighted_mean_logloss(probs, self.labels, self.weights)
@@ -769,7 +750,7 @@ class Booster:
 
         test_predicted = None
         if self.test is not None:
-            test_probs = probabilities(self.raw_test, objective)
+            test_probs = probabilities(self.raw_test)
             test_predicted = test_probs.argmax(axis=1)
             series["test_logloss"].append(float(
                 _logloss_terms(test_probs, self.test.clean_labels).mean()))
@@ -785,8 +766,9 @@ class Booster:
 
         if self.stopper is not None:
             mon_probs = (test_probs if self.raw_mon is None
-                         else probabilities(self.raw_mon, objective))
-            monitor_loss = _summed_logloss(mon_probs, self.mon_labels)
+                         else probabilities(self.raw_mon))
+            monitor_loss = float(_logloss_terms(mon_probs,
+                                                self.mon_labels).sum())
             if not np.isfinite(monitor_loss):
                 raise TrainingDivergedError(
                     f"round {t}: monitored loss became non-finite")

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import threshold_dataset
 from noisygbdt import noise
-from noisygbdt.detect import (ALL_METHODS, HIGH_IS_NOISY, _gmm_flags,
+from noisygbdt.detect import (ALL_METHODS, HIGH_IS_NOISY, Gmm1D, _gmm_flags,
                               aum_scores, confcorr_scores, detection_metrics,
                               detection_report, fit_gmm_1d,
                               gmm_decision_threshold, gradient_scores,
@@ -203,6 +204,70 @@ class TestGmm:
         gmm = fit_gmm_1d(x)
         cut = gmm_decision_threshold(gmm)
         assert 1.0 < cut < 4.0
+
+
+def _mixture(means, variances, upper_to_lower_log_ratio):
+    w1 = 1.0 / (1.0 + math.exp(-upper_to_lower_log_ratio))
+    return Gmm1D(means=np.array(means, dtype=float),
+                 variances=np.array(variances, dtype=float),
+                 weights=np.array([1.0 - w1, w1]))
+
+
+def _flags_follow_posterior(gmm, cut, x):
+    """Where the posterior of the upper component is clearly on one side of
+    one half, ``x > cut`` says which side."""
+    post = gmm.posterior_upper(x)
+    clear = np.abs(post - 0.5) > 1e-9
+    return np.array_equal((x > cut)[clear], (post > 0.5)[clear])
+
+
+class TestDecisionThreshold:
+    def test_equal_variances_cut_halfway(self):
+        # two atoms at 0 and 10: equal weights and floored variances
+        gmm = fit_gmm_1d(np.repeat([0.0, 10.0], 50))
+        assert gmm.variances[0] == gmm.variances[1]
+        assert gmm_decision_threshold(gmm) == 5.0
+
+    def test_wide_component_engulfs_the_narrow_mean(self):
+        # the heavier, wider upper component wins even at the lower mean, so
+        # the crossing lies below both means: the rising root of
+        # x^2 + 2x + 4L - 2 log 2 - 1 = 0 with L the log weight ratio
+        gmm = _mixture([0.0, 1.0], [1.0, 2.0], 0.7)
+        cut = gmm_decision_threshold(gmm)
+        assert cut == pytest.approx(-1.0 + math.sqrt(2.0 + 2.0 * math.log(2.0)
+                                                      - 4.0 * 0.7), rel=1e-12)
+        assert cut < gmm.means[0]
+        assert gmm.posterior_upper(cut)[0] == pytest.approx(0.5, abs=1e-12)
+        assert _flags_follow_posterior(gmm, cut, np.linspace(cut - 0.5, 3, 301))
+
+    @pytest.mark.parametrize("variances, log_ratio, expected", [
+        ([1.0, 2.0], 2.0, -math.inf),    # the wider upper one everywhere
+        ([2.0, 1.0], -2.0, math.inf),    # the wider lower one everywhere
+    ])
+    def test_no_crossing(self, variances, log_ratio, expected):
+        gmm = _mixture([0.0, 1.0], variances, log_ratio)
+        cut = gmm_decision_threshold(gmm)
+        assert cut == expected
+        x = np.linspace(-10.0, 10.0, 401)
+        assert _flags_follow_posterior(gmm, cut, x)
+        # -inf flags every score as the upper component's, +inf none
+        assert (x > cut).all() if expected < 0 else not (x > cut).any()
+
+    @pytest.mark.properties
+    @given(m0=st.floats(-5.0, 5.0), gap=st.floats(0.1, 5.0),
+           v0=st.floats(1e-3, 10.0), v1=st.floats(1e-3, 10.0),
+           log_ratio=st.floats(-4.0, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_cut_is_where_the_posterior_crosses_one_half(self, m0, gap, v0,
+                                                          v1, log_ratio):
+        gmm = _mixture([m0, m0 + gap], [v0, v1], log_ratio)
+        cut = gmm_decision_threshold(gmm)
+        lo, hi = m0, m0 + gap
+        if math.isfinite(cut):
+            assert gmm.posterior_upper(cut)[0] == pytest.approx(0.5, abs=1e-6)
+            lo, hi = min(lo, cut), max(hi, cut)
+        # between the means and the cut there is no second crossing
+        assert _flags_follow_posterior(gmm, cut, np.linspace(lo, hi, 257))
 
 
 class TestThreshold:

@@ -65,10 +65,31 @@ class TestConfig:
         ({"boost": 5}, "^config key 'boost' must be a mapping$"),
         ({"split": None}, "^config key 'split' must be a mapping$"),
         ([{"boost": {}}], "^a config must be a mapping$"),
+        # value types follow the dataclass fields: a list for a tuple, no
+        # bool or float for an int
+        ({"noise_rates": 0.3}, r"^config key 'noise_rates' must be list"),
+        ({"noise_kinds": "pair"}, "^config key 'noise_kinds' must be list"),
+        ({"detectors": "lrt"}, "^config key 'detectors' must be list"),
+        ({"noise_rates": [0.1, "0.2"]}, "^config key 'noise_rates' must be"),
+        ({"trials": "2"}, "^config key 'trials' must be int, got '2'$"),
+        ({"boost": {"n_rounds": "30"}}, "^config key 'boost.n_rounds' must"),
+        ({"split": {"seed": 1.5}}, "^config key 'split.seed' must be int"),
+        ({"seed": 1.5}, "^config key 'seed' must be int, got 1.5$"),
+        ({"jobs": "4"}, "^config key 'jobs' must be int"),
+        ({"subsample": True}, r"^config key 'subsample' must be int \| None"),
+        ({"boost": {"learning_rate": True}}, "^config key 'boost.learning_rate'"),
+        ({"label_column": 3}, "^config key 'label_column' must be str"),
     ])
     def test_cell_errors_caught_at_load(self, payload, match):
         with pytest.raises(ValueError, match=match):
             config_from_dict(payload)
+
+    def test_ints_fit_floats_and_null_fits_optionals(self):
+        cfg = config_from_dict({"boost": {"learning_rate": 1},
+                                "removal_budget": 1, "subsample": None,
+                                "label_column": None, "noise_rates": [0, 1]})
+        assert cfg.boost.learning_rate == 1 and cfg.removal_budget == 1
+        assert cfg.subsample is None and cfg.noise_rates == (0, 1)
 
     def test_csv_dataset_needs_label_column(self):
         with pytest.raises(ExperimentError, match="label_column"):
@@ -436,12 +457,13 @@ class TestCli:
 
     @pytest.mark.parametrize("overrides", [
         {"boost": {"n_round": 10}}, {"split": {"test_frac": 0.3}},
-        {"boost": 5}])
+        {"boost": 5}, {"noise_rates": 0.3}, {"boost": {"n_rounds": "30"}}])
     def test_print_config_rejects_bad_sections(self, tmp_path, overrides):
         cfg = self.write_cfg(tmp_path, **overrides)
         proc = run_cli(["run", "--config", str(cfg), "--print-config"])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
     def test_csv_dataset_by_absolute_path(self, tmp_path):

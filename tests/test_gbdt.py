@@ -19,23 +19,24 @@ from noisygbdt.gbdt import (Binner, BoostConfig, Booster, EarlyStopper,
 
 class TestProbabilities:
     def test_equal_logits_uniform(self):
-        p = probabilities(np.zeros((3, 4)), "softprob")
+        p = probabilities(np.zeros((3, 4)))
         assert np.allclose(p, 0.25)
 
     def test_logistic_zero_is_half(self):
-        p = probabilities(np.zeros(2), "logistic")
+        p = probabilities(np.zeros((2, 1)))
+        assert p.shape == (2, 2)
         assert np.allclose(p, 0.5)
 
     def test_softmax_against_direct_exponentiation(self):
         z = np.array([[2.0, 1.0, 0.0]])
         expected = np.exp(z[0]) / np.exp(z[0]).sum()
-        p = probabilities(z, "softprob")[0]
+        p = probabilities(z)[0]
         assert np.allclose(p, expected, atol=1e-12)
         assert np.allclose(p, [0.6652, 0.2447, 0.0900], atol=5e-5)
 
     def test_non_finite_logit_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            probabilities(np.array([[np.nan, 0.0]]), "softprob")
+            probabilities(np.array([[np.nan, 0.0]]))
 
     @pytest.mark.properties
     @given(st.integers(min_value=0, max_value=2**31))
@@ -43,19 +44,20 @@ class TestProbabilities:
     def test_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         z = rng.normal(0, 5, size=(20, 5))
-        p = probabilities(z, "softprob")
+        p = probabilities(z)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 class TestGradHess:
     def test_logistic_at_half(self):
-        g, h = grad_hess(np.array([[0.5, 0.5]]), np.array([1]), "logistic")
-        assert g[0] == pytest.approx(-0.5)
-        assert h[0] == pytest.approx(0.25)
+        g, h = grad_hess(np.array([[0.5, 0.5]]), np.array([1]))
+        assert g.shape == h.shape == (1, 1)
+        assert g[0, 0] == pytest.approx(-0.5)
+        assert h[0, 0] == pytest.approx(0.25)
 
     def test_softprob_uniform(self):
         p = np.full((1, 4), 0.25)
-        g, h = grad_hess(p, np.array([0]), "softprob")
+        g, h = grad_hess(p, np.array([0]))
         assert np.allclose(g[0], [-0.75, 0.25, 0.25, 0.25])
         assert np.allclose(h[0], 2 * 0.25 * 0.75)
 
@@ -65,15 +67,15 @@ class TestGradHess:
         rng = np.random.default_rng(3)
         z = rng.normal(0, 2, size=(10, 4))
         labels = rng.integers(0, 4, size=10)
-        g, _ = grad_hess(probabilities(z, "softprob"), labels, "softprob")
+        g, _ = grad_hess(probabilities(z), labels)
         eps = 1e-5
         for i in range(10):
             for k in range(4):
                 zp, zm = z.copy(), z.copy()
                 zp[i, k] += eps
                 zm[i, k] -= eps
-                lp = -np.log(probabilities(zp, "softprob")[i, labels[i]])
-                lm = -np.log(probabilities(zm, "softprob")[i, labels[i]])
+                lp = -np.log(probabilities(zp)[i, labels[i]])
+                lm = -np.log(probabilities(zm)[i, labels[i]])
                 fd = (lp - lm) / (2 * eps)
                 assert abs(fd - g[i, k]) <= 1e-6
 
@@ -84,7 +86,7 @@ class TestGradHess:
         rng = np.random.default_rng(seed)
         z = rng.normal(0, 3, size=(30, 6))
         labels = rng.integers(0, 6, size=30)
-        g, h = grad_hess(probabilities(z, "softprob"), labels, "softprob")
+        g, h = grad_hess(probabilities(z), labels)
         assert np.abs(g.sum(axis=1)).max() <= 1e-9
         assert (h >= 1e-16).all()
 
@@ -167,8 +169,9 @@ class TestBuildTree:
         assert t_w.to_dict() == t_d.to_dict()
 
 
-class TestHistSplitter:
-    def test_every_leaf_is_reached_by_a_fitted_row(self):
+class TestTreeGrower:
+    @pytest.mark.parametrize("index", ["Binner", "_presort"])
+    def test_every_leaf_is_reached_by_a_fitted_row(self, index):
         # a cut past every fitted row of a node would split off an empty
         # leaf of value 0 that only held-out or zero-weight rows reach
         rng = np.random.default_rng(11)
@@ -177,13 +180,13 @@ class TestHistSplitter:
             n, d = int(rng.integers(2, 200)), int(rng.integers(1, 5))
             x = np.round(rng.normal(size=(n, d)), 1)
             labels = rng.integers(0, 2, size=n)
-            g, h = grad_hess(probabilities(rng.normal(size=n), "logistic"),
-                             labels, "logistic")
+            g, h = grad_hess(probabilities(rng.normal(size=(n, 1))), labels)
             rows = np.flatnonzero(rng.random(n) < 0.8)
             if rows.size == 0:
                 rows = np.arange(n)
-            tree, leaf_of_row = _fit_tree(x, g, h, rows, cfg,
-                                          Binner(x, rows))
+            tree, leaf_of_row = _fit_tree(
+                x, g[:, 0], h[:, 0], rows, cfg,
+                Binner(x, rows) if index == "Binner" else _presort(x))
             leaves = np.flatnonzero(tree.feature < 0)
             assert set(leaves.tolist()) == set(leaf_of_row[rows].tolist())
 
