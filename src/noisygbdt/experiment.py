@@ -143,8 +143,17 @@ def _section(payload, schema, prefix: str = "") -> dict:
             expected = declared[key].replace("tuple", "list")
             raise ExperimentError(f"config key {prefix + key!r} must be "
                                   f"{expected}, got {value!r}")
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
+        kwargs[key] = _coerce(value, hint)
     return kwargs
+
+
+def _coerce(value, hint):
+    """A value that fits ``hint`` as the field's type: a list becomes a
+    tuple and an int given for a float a float, so ``1`` and ``1.0`` give
+    one config."""
+    if typing.get_origin(hint) is tuple:
+        return tuple(_coerce(item, typing.get_args(hint)[0]) for item in value)
+    return float(value) if hint is float else value
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:

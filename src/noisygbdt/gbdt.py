@@ -17,9 +17,15 @@ leaf partition; only zero-weight rows and held-out sets go through
 The fit size picks the split search, with no setting to override it: up to
 2,048 fitted rows it is exact greedy (columns presorted once per run, all
 features of a node searched in one vectorised pass), above that it uses
-histograms over at most 256 quantile bins per feature. One recursive grower
-(``_TreeGrower.grow``) holds the stop rules for both searches; each splitter
-brings its own search, partition and node statistics.
+histograms. Each feature gets one bin more than it has quantile cuts, at most
+256 bins, and its codes are stored once per run as a column-major ``uint8``
+row (``Binner``). A node histogram has one compact block per group of
+features of similar bin count; large nodes build it feature by feature, small
+ones in one flat pass, the larger child is its parent minus its sibling, and
+children at ``max_depth`` get their gradient and hessian sums alone
+(``_HistSplitter``). One recursive grower (``_TreeGrower.grow``) holds the
+stop rules for both searches; each splitter brings its own search, partition
+and node statistics.
 
 Two classes train one logistic tree per round, more classes one softmax tree
 per class. Raw scores, gradients and hessians are always (n, width) arrays,
@@ -39,11 +45,11 @@ from .dynamics import DynamicsLog, EpochRecord
 from .metrics_report import (SERIES_COLUMNS, RunReport, classification_metrics,
                              prediction_type_counts)
 
-MODEL_FORMAT_VERSION = 1
-
 # histogram splits above this many fitted rows, exact splits up to it
 _HIST_THRESHOLD = 2048
 _MAX_BINS = 256
+# a histogram node of this many rows or more builds one bincount per feature
+_PER_FEATURE_ROWS = 2000
 _HESSIAN_FLOOR = 1e-16
 
 _PROB_EPS = 1e-15
@@ -189,16 +195,6 @@ class Tree:
             "value": self.value.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(payload["feature"], dtype=np.int32),
-            threshold=np.asarray(payload["threshold"], dtype=np.float64),
-            left=np.asarray(payload["left"], dtype=np.int32),
-            right=np.asarray(payload["right"], dtype=np.int32),
-            value=np.asarray(payload["value"], dtype=np.float64),
-        )
-
 
 def _midpoint(lo: float, hi: float) -> float:
     """Midpoint threshold; guards float rounding so lo routes left and hi right
@@ -265,7 +261,7 @@ class _ExactSplitter:
     def search(self, rows, g, h, stats):
         return self.best_split(rows, g, h, *stats)
 
-    def child_stats(self, stats, left_rows, right_rows, g, h):
+    def child_stats(self, stats, left_rows, right_rows, g, h, leaves: bool):
         return (self.node_stats(left_rows, g, h),
                 self.node_stats(right_rows, g, h))
 
@@ -274,8 +270,21 @@ class _ExactSplitter:
 
 
 class Binner:
-    """Per-feature quantile cut points, fitted on ``fit_rows``, and integer
-    codes of every row for histogram splits."""
+    """Per-feature quantile cut points fitted on ``fit_rows``, the bin codes
+    of every row, and the compact histogram layout.
+
+    Feature j has ``len(cuts[j]) + 1`` bins, at most ``_MAX_BINS`` (256), so
+    its codes fit ``uint8``; ``codes_T`` holds them once per run,
+    column-major (d, n), so one feature's codes of a node are a contiguous
+    gather. A node histogram is one flat array of ``size`` bins with a block
+    per group of features whose bin counts round up to the same power of
+    two: ``blocks`` holds each block's (start, stop, width), a (k, width)
+    array of its features in ascending order, each padded with empty bins up
+    to ``width``. ``offsets[j]`` is where feature j's bins start.
+    ``cut_pos`` lists the position of every real split candidate (the last
+    bin of a feature is none) feature by feature, and ``cut_feature`` and
+    ``cut_bin`` name its feature and bin.
+    """
 
     def __init__(self, features: np.ndarray, fit_rows: np.ndarray):
         n, d = features.shape
@@ -292,21 +301,41 @@ class Binner:
                 cuts = np.unique(qs)
                 cuts = cuts[cuts < uniq[-1]]
             self.cuts.append(cuts)
-        self.stride = max((len(c) for c in self.cuts), default=0) + 1
-        codes = np.empty((n, d), dtype=np.int32)
+        self.codes_T = np.empty((d, n), dtype=np.uint8)
         for j in range(d):
-            codes[:, j] = np.searchsorted(self.cuts[j], features[:, j],
-                                          side="left")
-        self.codes = codes
-        self.offsets = (np.arange(d) * self.stride).astype(np.int32)
-        # cut validity mask: candidate bin b exists only when feature j has a cut b
-        self.valid = np.zeros((d, self.stride - 1), dtype=bool)
-        for j in range(d):
-            self.valid[j, :len(self.cuts[j])] = True
+            self.codes_T[j] = np.searchsorted(self.cuts[j], features[:, j],
+                                              side="left")
+        self.n_bins = np.array([len(c) + 1 for c in self.cuts], dtype=np.intp)
+        widths = np.array([1 << int(nb - 1).bit_length()
+                           for nb in self.n_bins], dtype=np.intp)
+        self.offsets = np.empty(d, dtype=np.intp)
+        self.blocks = []
+        start = 0
+        for width in np.unique(widths).tolist():
+            feats = np.flatnonzero(widths == width)
+            self.offsets[feats] = start + np.arange(len(feats)) * width
+            self.blocks.append((start, start + len(feats) * width, width))
+            start += len(feats) * width
+        self.size = start
+        self.cut_feature = np.repeat(np.arange(d), self.n_bins - 1)
+        self.cut_bin = np.concatenate([np.arange(len(c)) for c in self.cuts])
+        self.cut_pos = self.offsets[self.cut_feature] + self.cut_bin
+        # node totals sum feature 0's padded row of its block
+        self.totals_row = slice(self.offsets[0], self.offsets[0] + widths[0])
 
 
 class _HistSplitter:
-    """Histogram-based split search on pre-binned features."""
+    """Histogram split search on a Binner's codes and layout.
+
+    A node of at least ``_PER_FEATURE_ROWS`` rows builds each feature's
+    histogram with its own ``bincount`` over its contiguous codes; a smaller
+    node builds all of them in one flat ``bincount``. Either way each bin sums
+    its rows' weights in row order. The search runs one cumsum per block and
+    one argmax over the real cuts in (feature, bin) order, so the first of
+    equal gains wins as in a row-major argmax over every feature's bins. Node
+    totals are the sums of feature 0's row. Children at ``max_depth`` are
+    leaves, so they get those totals alone (``child_stats``).
+    """
 
     def __init__(self, binner: Binner, config: BoostConfig):
         self.b = binner
@@ -314,37 +343,46 @@ class _HistSplitter:
 
     def node_hists(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
         b = self.b
-        d = b.codes.shape[1]
-        flat = (b.codes[rows] + b.offsets).ravel()
-        total = d * b.stride
-        gh = np.bincount(flat, weights=np.repeat(g[rows], d), minlength=total)
-        hh = np.bincount(flat, weights=np.repeat(h[rows], d), minlength=total)
-        return gh.reshape(d, b.stride), hh.reshape(d, b.stride)
+        gr, hr = g[rows], h[rows]
+        if len(rows) >= _PER_FEATURE_ROWS:
+            gh, hh = np.zeros(b.size), np.zeros(b.size)
+            for codes, lo, nb in zip(b.codes_T, b.offsets, b.n_bins):
+                node_codes = codes[rows]
+                gh[lo:lo + nb] = np.bincount(node_codes, gr, minlength=nb)
+                hh[lo:lo + nb] = np.bincount(node_codes, hr, minlength=nb)
+            return gh, hh
+        d = len(b.codes_T)
+        flat = (b.codes_T[:, rows] + b.offsets[:, None]).ravel()
+        return (np.bincount(flat, np.tile(gr, d), minlength=b.size),
+                np.bincount(flat, np.tile(hr, d), minlength=b.size))
 
     def best_split(self, hists, g_total: float, h_total: float):
-        gh, hh = hists
-        if self.b.stride < 2:
+        b = self.b
+        if not len(b.cut_pos):
             return -np.inf, None, None
-        gl = np.cumsum(gh, axis=1)[:, :-1]
-        hl = np.cumsum(hh, axis=1)[:, :-1]
-        gains = _split_gains(gl, hl, g_total, h_total, self.lam)
-        gains[~self.b.valid] = -np.inf
+        gl, hl = np.empty(b.size), np.empty(b.size)
+        for hist, cum in zip(hists, (gl, hl)):
+            for start, stop, width in b.blocks:
+                np.cumsum(hist[start:stop].reshape(-1, width), axis=1,
+                          out=cum[start:stop].reshape(-1, width))
+        gains = _split_gains(gl[b.cut_pos], hl[b.cut_pos], g_total, h_total,
+                             self.lam)
         gains[~np.isfinite(gains)] = -np.inf
         k = int(np.argmax(gains))
-        j, bin_idx = divmod(k, gains.shape[1])
-        gain = float(gains[j, bin_idx])
-        if not np.isfinite(gain):
+        gain = float(gains[k])
+        if gain == -np.inf:
             return -np.inf, None, None
-        return gain, j, bin_idx
+        return gain, int(b.cut_feature[k]), int(b.cut_bin[k])
 
     def partition(self, rows: np.ndarray, feature: int, bin_idx: int):
-        go_left = self.b.codes[rows, feature] <= bin_idx
+        go_left = self.b.codes_T[feature][rows] <= bin_idx
         return rows[go_left], rows[~go_left]
 
-    @staticmethod
-    def _stats(gh: np.ndarray, hh: np.ndarray):
-        # every feature histogram sums all node rows, so row 0 has the totals
-        return float(gh[0].sum()), float(hh[0].sum()), gh, hh
+    def _stats(self, gh: np.ndarray, hh: np.ndarray):
+        # every feature histogram sums all node rows, so feature 0's has the
+        # totals
+        row = self.b.totals_row
+        return float(gh[row].sum()), float(hh[row].sum()), gh, hh
 
     def node_stats(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
         return self._stats(*self.node_hists(rows, g, h))
@@ -352,13 +390,23 @@ class _HistSplitter:
     def search(self, rows, g, h, stats):
         return self.best_split(stats[2:], *stats[:2])
 
-    def child_stats(self, stats, left_rows, right_rows, g, h):
+    def child_stats(self, stats, left_rows, right_rows, g, h, leaves: bool):
         """The smaller child's histograms are built, its sibling's are the
-        parent's minus them."""
+        parent's minus them. Children that will be leaves need only their
+        sums: feature 0's histogram alone, laid out as ``totals_row``."""
         gh, hh = stats[2:]
         small_left = len(left_rows) <= len(right_rows)
-        sg, sh = self.node_hists(left_rows if small_left else right_rows, g, h)
-        small, large = self._stats(sg, sh), self._stats(gh - sg, hh - sh)
+        small_rows = left_rows if small_left else right_rows
+        if leaves:
+            row = self.b.totals_row
+            codes, width = self.b.codes_T[0][small_rows], row.stop - row.start
+            sg = np.bincount(codes, g[small_rows], minlength=width)
+            sh = np.bincount(codes, h[small_rows], minlength=width)
+            small = float(sg.sum()), float(sh.sum())
+            large = float((gh[row] - sg).sum()), float((hh[row] - sh).sum())
+        else:
+            sg, sh = self.node_hists(small_rows, g, h)
+            small, large = self._stats(sg, sh), self._stats(gh - sg, hh - sh)
         return (small, large) if small_left else (large, small)
 
     def threshold_value(self, feature: int, bin_idx: int) -> float:
@@ -394,7 +442,9 @@ class _TreeGrower:
         statistics of those rows (``node_stats``), led by their gradient and
         hessian sums: exact adds nothing, hist the histograms. ``search``
         gives the best cut (exact: a threshold, hist: a bin index),
-        ``threshold_value`` its threshold, ``child_stats`` the children's.
+        ``threshold_value`` its threshold, ``child_stats`` the children's;
+        told that the children sit at ``max_depth``, it may give their sums
+        alone.
 
         A node is a leaf at ``max_depth``, below 2 rows, when no cut gains
         more than ``min_split_gain``, or when the best cut leaves no row on
@@ -409,8 +459,9 @@ class _TreeGrower:
                 if left_rows.size and right_rows.size:
                     self.feature[idx] = feat
                     self.threshold[idx] = splitter.threshold_value(feat, cut)
-                    left, right = splitter.child_stats(stats, left_rows,
-                                                       right_rows, g, h)
+                    left, right = splitter.child_stats(
+                        stats, left_rows, right_rows, g, h,
+                        leaves=depth + 1 == self.cfg.max_depth)
                     self.left[idx] = self.grow(splitter, left_rows, g, h,
                                                depth + 1, left)
                     self.right[idx] = self.grow(splitter, right_rows, g, h,
@@ -514,24 +565,11 @@ class Ensemble:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": MODEL_FORMAT_VERSION,
             "objective": self.objective,
             "class_count": self.class_count,
             "feature_count": self.feature_count,
             "rounds": [[t.to_dict() for t in trees] for trees in self.rounds],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Ensemble":
-        if payload.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError("unsupported model format version")
-        return cls(
-            objective=payload["objective"],
-            class_count=int(payload["class_count"]),
-            feature_count=int(payload["feature_count"]),
-            rounds=[[Tree.from_dict(t) for t in trees]
-                    for trees in payload["rounds"]],
-        )
 
 
 def expand_logits(raw: np.ndarray) -> np.ndarray:

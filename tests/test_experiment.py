@@ -91,6 +91,30 @@ class TestConfig:
         assert cfg.boost.learning_rate == 1 and cfg.removal_budget == 1
         assert cfg.subsample is None and cfg.noise_rates == (0, 1)
 
+    def test_int_spelling_of_a_float_gives_the_same_config(self, tmp_path):
+        # the report and --print-config write what as_dict holds, and JSON
+        # and YAML tell 1 from 1.0
+        def config(one, rates):
+            return config_from_dict({
+                "dataset": "breast_cancer", "noise_kinds": ["pair"],
+                "noise_rates": rates, "removal_budget": one,
+                "boost": {"learning_rate": one, "n_rounds": 17,
+                          "warmup_rounds": 15},
+                "out_dir": str(tmp_path)})
+        as_int, as_float = config(1, [0, 0.3]), config(1.0, [0.0, 0.3])
+        assert type(as_int.boost.learning_rate) is float
+        assert [type(r) for r in as_int.noise_rates] == [float, float]
+        assert (json.dumps(as_int.as_dict(), sort_keys=True)
+                == json.dumps(as_float.as_dict(), sort_keys=True))
+        assert (yaml.safe_dump(as_int.as_dict(), sort_keys=True)
+                == yaml.safe_dump(as_float.as_dict(), sort_keys=True))
+        reports = []
+        for cfg in (as_int, as_float):
+            train_ds, test_ds = prepare_data(cfg, 5)
+            reports.append(run_cell(cfg, train_ds, test_ds, "pair", 0.3,
+                                    "aum", "remove", 5).to_dict())
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+
     def test_csv_dataset_needs_label_column(self):
         with pytest.raises(ExperimentError, match="label_column"):
             config_from_dict({"dataset": "some.csv"})

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,8 @@ from noisygbdt.experiment import ExperimentConfig, prepare_data
 from noisygbdt.metrics_report import classification_metrics
 from noisygbdt.gbdt import (Binner, BoostConfig, Booster, EarlyStopper,
                             Ensemble, TrainingDivergedError, Tree,
-                            _ExactSplitter, _fit_tree, _midpoint, _presort,
+                            _ExactSplitter, _HistSplitter, _fit_tree,
+                            _midpoint, _presort,
                             _split_gains, build_tree, grad_hess, leaf_value,
                             probabilities, train)
 
@@ -297,6 +296,186 @@ class TestExactSplitterOracle:
         monkeypatch.setattr(_ExactSplitter, "best_split",
                             _reference_best_split)
         assert train(ds, cfg).ensemble.to_dict() == new
+
+
+def _reference_hists(binner, rows, g, h):
+    """The stride-256 flat build: every feature gets 256 bins, all of a
+    node's codes go through one row-major bincount."""
+    codes = binner.codes_T.T.astype(np.int64)
+    d = codes.shape[1]
+    flat = (codes[rows] + np.arange(d) * 256).ravel()
+    gh = np.bincount(flat, np.repeat(g[rows], d), minlength=d * 256)
+    hh = np.bincount(flat, np.repeat(h[rows], d), minlength=d * 256)
+    return gh.reshape(d, 256), hh.reshape(d, 256)
+
+
+def _reference_hist_gains(binner, lam, gh, hh, g_total, h_total):
+    """One cumsum over every feature's 256 bins, the bins past a feature's
+    last cut and non-finite gains masked."""
+    gl = np.cumsum(gh, axis=1)[:, :-1]
+    hl = np.cumsum(hh, axis=1)[:, :-1]
+    gains = _split_gains(gl, hl, g_total, h_total, lam)
+    n_cuts = np.array([len(c) for c in binner.cuts])
+    gains[np.arange(255) >= n_cuts[:, None]] = -np.inf
+    gains[~np.isfinite(gains)] = -np.inf
+    return gains
+
+
+def _reference_hist_split(binner, lam, gh, hh, g_total, h_total):
+    """The stride-256 search: one row-major argmax over every gain."""
+    gains = _reference_hist_gains(binner, lam, gh, hh, g_total, h_total)
+    j, bin_idx = divmod(int(np.argmax(gains)), 255)
+    gain = float(gains[j, bin_idx])
+    if gain == -np.inf:
+        return -np.inf, None, None
+    return gain, j, bin_idx
+
+
+def _spread(binner, hist):
+    """A compact histogram as (d, 256), each feature's bins at the left."""
+    out = np.zeros((len(binner.cuts), 256))
+    for j, (lo, nb) in enumerate(zip(binner.offsets, binner.n_bins)):
+        out[j, :nb] = hist[lo:lo + nb]
+    return out
+
+
+class TestHistSplitterOracle:
+    @staticmethod
+    def _case(seed):
+        """Columns of every bin count: constant (no cut), one-cut, few-valued
+        and wide (quantile cuts), plus duplicates of earlier columns. Half the
+        cases have dyadic gradients and unit hessians, whose sums are exact,
+        so cuts that part the rows alike tie in gain."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(300, 3000))
+        kinds = rng.permutation(np.concatenate(
+            [np.arange(4), rng.integers(0, 4, size=int(rng.integers(0, 6)))]))
+        cols = []
+        for kind in kinds:
+            if kind == 0:
+                cols.append(np.full(n, 1.5))
+            elif kind == 1:
+                cols.append((rng.random(n) < 0.4) * 1.0)
+            elif kind == 2:
+                cols.append(rng.integers(0, int(rng.integers(3, 40)), n) * 1.0)
+            else:
+                cols.append(rng.normal(size=n))
+        for j in rng.choice(len(cols), size=2):
+            # a duplicate, and a binarised copy that lands in another group
+            cols.append(cols[j])
+            cols.insert(int(rng.integers(0, len(cols))),
+                        (cols[j] > np.median(cols[j])) * 1.0)
+        x = np.column_stack(cols)
+        if seed % 2:
+            g = rng.integers(-4, 5, size=n) / 4.0
+            h = np.ones(n)
+        else:
+            g = rng.normal(size=n)
+            h = np.abs(rng.normal(size=n)) + 0.05
+        w = np.where(rng.random(n) < 0.2, 0.0, 1.0)
+        rows = np.flatnonzero(w > 0)
+        return x, g * w, h * w, rows
+
+    @pytest.mark.parametrize("crossover", [0, 10**9])
+    def test_matches_stride_256_build_and_search(self, crossover,
+                                                 monkeypatch):
+        monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
+        ties = splits = 0
+        for seed in range(60):
+            x, g, h, rows = self._case(seed)
+            binner = Binner(x, rows)
+            splitter = _HistSplitter(binner, BoostConfig())
+            node = np.sort(np.random.default_rng(seed).choice(
+                rows, size=max(2, len(rows) // 3), replace=False))
+            for r in (rows, node):
+                gh, hh = splitter.node_hists(r, g, h)
+                ref_g, ref_h = _reference_hists(binner, r, g, h)
+                assert np.array_equal(_spread(binner, gh), ref_g), seed
+                assert np.array_equal(_spread(binner, hh), ref_h), seed
+                g_total, h_total = float(g[r].sum()), float(h[r].sum())
+                got = splitter.best_split((gh, hh), g_total, h_total)
+                assert got == _reference_hist_split(
+                    binner, 1.0, ref_g, ref_h, g_total, h_total), seed
+                splits += got[1] is not None
+                gains = _reference_hist_gains(binner, 1.0, ref_g, ref_h,
+                                              g_total, h_total)
+                ties += ((gains.max(axis=1) == got[0]).sum() > 1
+                         and got[1] is not None)
+        assert splits > 60 and ties > 10   # ties across features are exercised
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    def test_tie_across_groups_goes_to_the_lowest_feature(self, order):
+        # a one-cut column and a three-valued column part the rows alike at
+        # the best cut; dyadic gradients make the two gains exactly equal
+        rng = np.random.default_rng(0)
+        binary = (rng.random(400) < 0.5) * 1.0
+        tiers = binary * (1.0 + (rng.random(400) < 0.5))
+        cols = [tiers, rng.normal(size=400), binary]
+        x = np.column_stack([cols[k] for k in order])
+        g, h = np.where(binary > 0, 0.5, -1.0), np.ones(400)
+        rows = np.arange(400)
+        binner = Binner(x, rows)
+        assert len({w for _, _, w in binner.blocks}) == 3
+        splitter = _HistSplitter(binner, BoostConfig())
+        got = splitter.best_split(splitter.node_hists(rows, g, h),
+                                  float(g.sum()), 400.0)
+        assert got == _reference_hist_split(
+            binner, 1.0, *_reference_hists(binner, rows, g, h),
+            float(g.sum()), 400.0)
+        assert got[1:] == (0, 0)
+
+
+    def test_edge_cases_match(self):
+        cases = [
+            # constant columns only: no split
+            (np.full((50, 4), 2.0), np.linspace(-1.0, 1.0, 50)),
+            # equal gradients: every cut loses gain, and a three-bin column
+            # has an empty padding bin, which must not win the search
+            (np.column_stack([np.arange(50) % 3, np.arange(50) % 2]) * 1.0,
+             np.ones(50)),
+        ]
+        got = []
+        for x, g in cases:
+            rows, h = np.arange(len(x)), np.ones(len(x))
+            binner = Binner(x, rows)
+            splitter = _HistSplitter(binner, BoostConfig())
+            totals = float(g.sum()), float(len(x))
+            got.append(splitter.best_split(splitter.node_hists(rows, g, h),
+                                           *totals))
+            assert got[-1] == _reference_hist_split(
+                binner, 1.0, *_reference_hists(binner, rows, g, h), *totals)
+        assert got[0] == (-np.inf, None, None)
+        assert got[1][0] < 0 and got[1][1] is not None
+
+    @staticmethod
+    def _tree(x, g, h, rows, cfg):
+        tree, leaf_of_row = _fit_tree(x, g, h, rows, cfg, Binner(x, rows))
+        return tree.to_dict(), leaf_of_row.tolist()
+
+    def test_crossover_does_not_change_the_tree(self, monkeypatch):
+        # nodes from several thousand rows down to a few: per feature, flat,
+        # and the default mix of both give one tree
+        x, g, h, rows = self._case(3)
+        x, g, h = np.vstack([x] * 3), np.tile(g, 3), np.tile(h, 3)
+        rows = np.flatnonzero(h > 0)
+        assert len(rows) > 2 * gbdt._PER_FEATURE_ROWS
+        cfg = BoostConfig(max_depth=7)
+        default = self._tree(x, g, h, rows, cfg)
+        for crossover in (0, 10**9):
+            monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
+            assert self._tree(x, g, h, rows, cfg) == default
+        assert len(default[0]["feature"]) > 31
+
+    def test_leaf_children_sums_equal_full_child_stats(self, monkeypatch):
+        x, g, h, rows = self._case(4)
+        cfg = BoostConfig(max_depth=4)
+        shortcut = self._tree(x, g, h, rows, cfg)
+        full = _HistSplitter.child_stats
+        monkeypatch.setattr(
+            _HistSplitter, "child_stats",
+            lambda self, *args, leaves: full(self, *args, leaves=False))
+        assert self._tree(x, g, h, rows, cfg) == shortcut
+        assert len(shortcut[0]["feature"]) > 15   # leaves at max_depth
 
 
 class TestEarlyStopper:
@@ -591,14 +770,3 @@ class TestPredictAndSerialize:
         res = train(blobs, BoostConfig(n_rounds=2, warmup_rounds=1))
         with pytest.raises(ValueError, match="width"):
             res.ensemble.predict(np.zeros((2, 99)))
-
-    def test_model_json_round_trip(self, blobs, tmp_path):
-        res = train(blobs, BoostConfig(n_rounds=4, warmup_rounds=1))
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(res.ensemble.to_dict()))
-        back = Ensemble.from_dict(json.loads(path.read_text()))
-        _, p1 = res.ensemble.predict(blobs.features)
-        _, p2 = back.predict(blobs.features)
-        assert np.array_equal(p1, p2)
-        payload = json.loads(path.read_text())
-        assert payload["format_version"] == 1
