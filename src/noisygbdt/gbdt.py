@@ -15,7 +15,8 @@ leaf partition; only zero-weight rows and held-out sets go through
 ``Tree.predict``.
 
 The fit size picks the split search, with no setting to override it: up to
-2,048 fitted rows it is exact greedy (columns presorted once per run, all
+2,048 fitted rows it is exact greedy (columns presorted once per run, each
+node carrying its rows' sorted blocks, split from its parent's, and all
 features of a node searched in one vectorised pass), above that it uses
 histograms. Each feature gets one bin more than it has quantile cuts, at most
 256 bins, and its codes are stored once per run as a column-major ``uint8``
@@ -215,11 +216,16 @@ def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _ExactSplitter:
     """Exact greedy search over all features of a node at once.
 
-    ``presorted`` (from ``_presort``, built once per training run) filtered by
-    node membership gives the node's rows sorted in every column, in the order
-    of a stable per-node sort since ``rows`` is ascending. Cuts between tied
+    A node's statistics carry its sorted blocks: ``idx`` (d, m), the node's
+    rows in ascending order of each feature, and ``xs`` (d, m), those rows'
+    values. The root's blocks are ``presorted`` (from ``_presort``, built
+    once per training run) compacted to the root rows; each child's are its
+    parent's compacted to the child's rows. Compaction is stable, so a
+    node's blocks are the presort filtered by node membership, the order of
+    a stable per-node sort since rows are ascending. Cuts between tied
     values get gain -inf; one row-major argmax keeps the first feature, then
-    the first position, of the best gain.
+    the first position, of the best gain. Children at ``max_depth`` are
+    leaves, so they get their gradient and hessian sums alone.
     """
 
     def __init__(self, features: np.ndarray, config: BoostConfig,
@@ -228,17 +234,14 @@ class _ExactSplitter:
         self.lam = config.l2_reg
         self.order, self.sorted_x = presorted
 
-    def best_split(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray,
-                   g_total: float, h_total: float):
-        d, m = self.order.shape[0], len(rows)
-        member = np.zeros(self.x.shape[0], dtype=bool)
-        member[rows] = True
-        keep = member[self.order]
-        idx = self.order[keep].reshape(d, m)
-        xs = self.sorted_x[keep].reshape(d, m)
+    def best_split(self, idx: np.ndarray, xs: np.ndarray, g: np.ndarray,
+                   h: np.ndarray, g_total: float, h_total: float):
+        m = idx.shape[1]
         gl = np.cumsum(g[idx], axis=1)[:, :-1]
         hl = np.cumsum(h[idx], axis=1)[:, :-1]
         gains = _split_gains(gl, hl, g_total, h_total, self.lam)
+        if not gains.size:   # no features
+            return -np.inf, None, None
         gains[xs[:, :-1] == xs[:, 1:]] = -np.inf
         # argmax stops at the first NaN; a NaN gain is no candidate
         k = int(np.argmax(gains))
@@ -255,15 +258,41 @@ class _ExactSplitter:
         go_left = self.x[rows, feature] <= threshold
         return rows[go_left], rows[~go_left]
 
-    def node_stats(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
+    @staticmethod
+    def _sums(rows: np.ndarray, g: np.ndarray, h: np.ndarray):
         return float(g[rows].sum()), float(h[rows].sum())
 
+    def _member(self, rows: np.ndarray) -> np.ndarray:
+        member = np.zeros(self.order.shape[1], dtype=bool)
+        member[rows] = True
+        return member
+
+    @staticmethod
+    def _compact(idx: np.ndarray, xs: np.ndarray, keep: np.ndarray, m: int):
+        """The entries of both blocks where ``keep`` is set, (d, m) each.
+        ``flatnonzero`` and ``take`` beat boolean indexing at these sizes."""
+        at = np.flatnonzero(keep)
+        d = len(idx)
+        return idx.take(at).reshape(d, m), xs.take(at).reshape(d, m)
+
+    def node_stats(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
+        keep = self._member(rows)[self.order]
+        return (*self._sums(rows, g, h),
+                *self._compact(self.order, self.sorted_x, keep, len(rows)))
+
     def search(self, rows, g, h, stats):
-        return self.best_split(rows, g, h, *stats)
+        return self.best_split(*stats[2:], g, h, *stats[:2])
 
     def child_stats(self, stats, left_rows, right_rows, g, h, leaves: bool):
-        return (self.node_stats(left_rows, g, h),
-                self.node_stats(right_rows, g, h))
+        """The parent's blocks split by the go-left membership of
+        ``left_rows``; children that will be leaves get their sums alone."""
+        left, right = self._sums(left_rows, g, h), self._sums(right_rows, g, h)
+        if leaves:
+            return left, right
+        idx, xs = stats[2:]
+        keep = self._member(left_rows)[idx]
+        return ((*left, *self._compact(idx, xs, keep, len(left_rows))),
+                (*right, *self._compact(idx, xs, ~keep, len(right_rows))))
 
     def threshold_value(self, feature: int, threshold: float) -> float:
         return threshold
@@ -440,11 +469,11 @@ class _TreeGrower:
              depth: int, stats) -> int:
         """Grow the subtree of ``rows``; ``stats`` are the splitter's
         statistics of those rows (``node_stats``), led by their gradient and
-        hessian sums: exact adds nothing, hist the histograms. ``search``
-        gives the best cut (exact: a threshold, hist: a bin index),
-        ``threshold_value`` its threshold, ``child_stats`` the children's;
-        told that the children sit at ``max_depth``, it may give their sums
-        alone.
+        hessian sums: exact adds the sorted blocks, hist the histograms.
+        ``search`` gives the best cut (exact: a threshold, hist: a bin
+        index), ``threshold_value`` its threshold, ``child_stats`` the
+        children's; told that the children sit at ``max_depth``, it may give
+        their sums alone.
 
         A node is a leaf at ``max_depth``, below 2 rows, when no cut gains
         more than ``min_split_gain``, or when the best cut leaves no row on

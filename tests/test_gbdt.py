@@ -240,6 +240,12 @@ class TestExactSplitterOracle:
         rows = np.sort(rng.choice(n, size=m, replace=False))
         return x, g, h, rows
 
+    @staticmethod
+    def _search(splitter, rows, g, h):
+        """The search at the grower's seam, and the node's sums."""
+        stats = splitter.node_stats(rows, g, h)
+        return splitter.search(rows, g, h, stats), stats[:2]
+
     def test_matches_per_feature_loop(self):
         splits = 0
         for seed in range(300):
@@ -247,10 +253,9 @@ class TestExactSplitterOracle:
             # l2_reg 0 only without zero hessians: 0/0 gains are tested apart
             lam = (0.0, 1.0)[seed % 2] if h[rows].min() > 0 else 1.0
             splitter = _ExactSplitter(x, BoostConfig(l2_reg=lam), _presort(x))
-            g_total, h_total = float(g[rows].sum()), float(h[rows].sum())
-            got = splitter.best_split(rows, g, h, g_total, h_total)
+            got, totals = self._search(splitter, rows, g, h)
             assert got == _reference_best_split(splitter, rows, g, h,
-                                                g_total, h_total), seed
+                                                *totals), seed
             splits += got[1] is not None
         assert 100 < splits < 300   # both outcomes are exercised
 
@@ -262,6 +267,8 @@ class TestExactSplitterOracle:
             (np.array([[1.0], [1.0], [0.0]]), np.array([0, 1])),
             # constant columns only: no split
             (np.full((5, 3), 2.0), np.arange(5)),
+            # no features at all: no split
+            (np.zeros((4, 0)), np.arange(4)),
             # a constant column ahead of a tied integer column
             (np.column_stack([np.zeros(6), [0, 0, 1, 1, 1, 2.0]]),
              np.arange(6)),
@@ -270,9 +277,8 @@ class TestExactSplitterOracle:
             g = np.linspace(-1.0, 1.0, len(x))
             h = np.ones(len(x))
             splitter = _ExactSplitter(x, cfg, _presort(x))
-            g_total, h_total = float(g[rows].sum()), float(h[rows].sum())
-            assert splitter.best_split(rows, g, h, g_total, h_total) == \
-                _reference_best_split(splitter, rows, g, h, g_total, h_total)
+            got, totals = self._search(splitter, rows, g, h)
+            assert got == _reference_best_split(splitter, rows, g, h, *totals)
 
     def test_nan_gain_is_no_candidate(self):
         # a zero hessian with l2_reg 0 makes a 0/0 gain; the other cuts count
@@ -280,8 +286,9 @@ class TestExactSplitterOracle:
         g = np.array([0.0, -1.0, 1.0, 1.0])
         h = np.array([0.0, 1.0, 1.0, 1.0])
         splitter = _ExactSplitter(x, BoostConfig(l2_reg=0.0), _presort(x))
-        gain, feature, threshold = splitter.best_split(np.arange(4), g, h,
-                                                       1.0, 3.0)
+        (gain, feature, threshold), totals = self._search(
+            splitter, np.arange(4), g, h)
+        assert totals == (1.0, 3.0)
         assert (feature, threshold) == (0, 1.5)
         assert gain == pytest.approx(4.0 / 3.0)
 
@@ -293,9 +300,54 @@ class TestExactSplitterOracle:
         ds = train_ds.with_noise(noisy)
         cfg = BoostConfig(n_rounds=12)
         new = train(ds, cfg).ensemble.to_dict()
-        monkeypatch.setattr(_ExactSplitter, "best_split",
-                            _reference_best_split)
+        monkeypatch.setattr(
+            _ExactSplitter, "search",
+            lambda self, rows, g, h, stats: _reference_best_split(
+                self, rows, g, h, *stats[:2]))
         assert train(ds, cfg).ensemble.to_dict() == new
+
+    def test_child_blocks_equal_fresh_node_blocks(self):
+        # a child's blocks compacted from its parent's are the presort
+        # filtered to the child's rows, element for element
+        children = 0
+        for seed in range(300):
+            x, g, h, rows = self._case(seed)
+            splitter = _ExactSplitter(x, BoostConfig(), _presort(x))
+            stats = splitter.node_stats(rows, g, h)
+            _, feat, cut = splitter.search(rows, g, h, stats)
+            if feat is None:
+                # no gain anywhere: cut a random column at its median
+                feat = int(np.random.default_rng(seed).integers(x.shape[1]))
+                cut = float(np.median(x[rows, feat]))
+            left_rows, right_rows = splitter.partition(rows, feat, cut)
+            if not (left_rows.size and right_rows.size):
+                continue
+            got = splitter.child_stats(stats, left_rows, right_rows, g, h,
+                                       leaves=False)
+            for child, child_rows in zip(got, (left_rows, right_rows)):
+                want = splitter.node_stats(child_rows, g, h)
+                assert child[:2] == want[:2], seed
+                for block, fresh in zip(child[2:], want[2:]):
+                    assert block.shape == fresh.shape, seed
+                    assert np.array_equal(block, fresh), seed
+            children += 1
+        assert children > 200
+
+    def test_leaf_children_sums_equal_full_child_stats(self, monkeypatch):
+        x, g, h, rows = self._case(4)
+        cfg = BoostConfig(max_depth=4)
+
+        def tree():
+            tree, leaf_of_row = _fit_tree(x, g, h, rows, cfg, _presort(x))
+            return tree.to_dict(), leaf_of_row.tolist()
+
+        shortcut = tree()
+        full = _ExactSplitter.child_stats
+        monkeypatch.setattr(
+            _ExactSplitter, "child_stats",
+            lambda self, *args, leaves: full(self, *args, leaves=False))
+        assert tree() == shortcut
+        assert len(shortcut[0]["feature"]) > 15   # leaves at max_depth
 
 
 def _reference_hists(binner, rows, g, h):
