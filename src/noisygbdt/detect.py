@@ -95,48 +95,55 @@ class Gmm1D:
         log_p = (-0.5 * np.log(2.0 * np.pi * self.variances)
                  - (x[:, None] - self.means) ** 2 / (2.0 * self.variances)
                  + np.log(self.weights))
-        m = log_p.max(axis=1, keepdims=True)
-        norm = m + np.log(np.exp(log_p - m).sum(axis=1, keepdims=True))
-        return np.exp(log_p[:, 1:2] - norm).ravel()
+        return np.exp(log_p[:, 1] - np.logaddexp(log_p[:, 0], log_p[:, 1]))
 
 
 def fit_gmm_1d(values: np.ndarray, max_iter: int = 200,
                tol: float = 1e-6) -> Gmm1D:
     """EM fit of a two-component Gaussian mixture to 1-D data.
 
-    Initialization places the component means at the 25th and 75th percentiles
-    with a shared variance and equal weights; variances are floored at
-    1e-9 times the squared data range.
+    The means start at the 25th and 75th percentiles with a shared variance
+    and equal weights, variances are floored at 1e-9 times the squared data
+    range, and EM stops once an iteration gains less than ``tol``. Each
+    iteration is one pass over z = x - mean(x), centred once. With component
+    1's log-odds d = (a z + b) z + c, the log-likelihood is
+    sum log(w_0 N_0(z)), closed-form in sum z and sum z^2, plus
+    sum log(1 + e^d). The M-step's sufficient statistics are component 1's
+    responsibilities summed against 1, z and z^2; component 0's are the
+    totals minus those.
     """
     x = np.asarray(values, dtype=np.float64)
-    if len(np.unique(x)) < 2:
+    span = float(x.max() - x.min()) if x.size else 0.0
+    if span == 0.0:
         raise ValueError("need at least 2 distinct values to fit a mixture")
-    span = float(x.max() - x.min())
     var_floor = 1e-9 * span * span
-    mu = np.array([np.percentile(x, 25.0), np.percentile(x, 75.0)])
-    var = np.full(2, max(float(x.var()), var_floor))
-    w = np.array([0.5, 0.5])
+    centre = x.mean()
+    z = x - centre
+    powers = np.stack([np.ones(len(x)), z, z * z])
+    n, sz, szz = totals = powers.sum(axis=1).tolist()
+    params = [(m, max(szz / n, var_floor), 0.5)
+              for m in (np.percentile(x, [25.0, 75.0]) - centre).tolist()]
     lls: list[float] = []
-    prev_ll = -np.inf
     for _ in range(max_iter):
-        log_p = (-0.5 * np.log(2.0 * np.pi * var)
-                 - (x[:, None] - mu) ** 2 / (2.0 * var)
-                 + np.log(w))
-        m = log_p.max(axis=1, keepdims=True)
-        log_norm = m + np.log(np.exp(log_p - m).sum(axis=1, keepdims=True))
-        ll = float(log_norm.sum())
-        lls.append(ll)
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        (m0, v0, w0), (m1, v1, w1) = params
+        c = (math.log(w1 / w0) - 0.5 * math.log(v1 / v0)
+             + 0.5 * m0 * m0 / v0 - 0.5 * m1 * m1 / v1)
+        d = ((0.5 / v0 - 0.5 / v1) * z + (m1 / v1 - m0 / v0)) * z + c
+        sp = np.logaddexp(0.0, d)
+        sq0 = szz - m0 * (2.0 * sz - n * m0)
+        lls.append(n * (math.log(w0) - 0.5 * math.log(2.0 * math.pi * v0))
+                   - 0.5 * sq0 / v0 + float(sp.sum()))
+        if len(lls) > 1 and lls[-1] - lls[-2] < tol:
             break
-        prev_ll = ll
-        resp = np.exp(log_p - log_norm)
-        nk = np.maximum(resp.sum(axis=0), 1e-12)
-        mu = (resp * x[:, None]).sum(axis=0) / nk
-        var = (resp * (x[:, None] - mu) ** 2).sum(axis=0) / nk
-        var = np.maximum(var, var_floor)
-        w = nk / len(x)
-    order = np.argsort(mu, kind="stable")
-    return Gmm1D(means=mu[order], variances=var[order], weights=w[order],
+        upper = np.einsum("ki,i->k", powers, np.exp(d - sp)).tolist()
+        params = []
+        for r, s, q in ([t - u for t, u in zip(totals, upper)], upper):
+            nk = max(r, 1e-12)
+            m = s / nk
+            v = max((q - m * (2.0 * s - m * r)) / nk, var_floor)
+            params.append((m, v, nk / n))
+    mu, var, w = np.array(sorted(params, key=lambda p: p[0])).T
+    return Gmm1D(means=mu + centre, variances=var, weights=w,
                  log_likelihoods=lls)
 
 
@@ -175,7 +182,7 @@ def _gmm_flags(scores: np.ndarray,
     """Mixture-based flags: the component on the suspicious side is treated as
     the noise population. Nothing is flagged when the fitted component means
     sit closer than ``MIN_COMPONENT_GAP`` (no separable noise population)."""
-    if len(np.unique(scores)) < 2:
+    if not len(scores) or scores.min() == scores.max():
         warnings.warn("mixture thresholding degenerate: fewer than 2 distinct "
                       "scores; flagging nothing")
         return _flag_none(scores, polarity, "degenerate: identical scores")
@@ -184,9 +191,7 @@ def _gmm_flags(scores: np.ndarray,
         return _flag_none(scores, polarity,
                           "mixture components indistinguishable; not flagged")
     cut = gmm_decision_threshold(gmm)
-    if polarity == LOW_IS_NOISY:
-        return scores < cut, cut, ""
-    return scores > cut, cut, ""
+    return (scores < cut if polarity == LOW_IS_NOISY else scores > cut), cut, ""
 
 
 # --------------------------------------------------------------------------
@@ -198,10 +203,7 @@ def lrt_scores(probs: np.ndarray, labels: np.ndarray) -> NoiseScores:
     flagged when the ratio falls below 1, i.e. when the label is less likely
     than the predicted class."""
     probs = np.asarray(probs, dtype=np.float64)
-    n = probs.shape[0]
-    p_label = probs[np.arange(n), labels]
-    p_pred = probs.max(axis=1)
-    ratio = p_label / p_pred
+    ratio = probs[np.arange(len(probs)), labels] / probs.max(axis=1)
     return NoiseScores(method=METHOD_LRT, scores=ratio, polarity=LOW_IS_NOISY,
                        flagged=ratio < LRT_CUT, threshold_used=LRT_CUT)
 
@@ -212,16 +214,13 @@ def aum_scores(window_logits: np.ndarray, labels: np.ndarray) -> NoiseScores:
     window_logits = np.asarray(window_logits, dtype=np.float64)
     if window_logits.ndim != 3 or window_logits.shape[0] == 0:
         raise ValueError("expected a non-empty (rounds, instances, classes) window")
-    w, n, c = window_logits.shape
+    _, n, c = window_logits.shape
     if c < 2:
         raise ValueError("margins need at least 2 classes")
     idx = np.arange(n)
-    z_label = window_logits[:, idx, labels]
     masked = window_logits.copy()
     masked[:, idx, labels] = -np.inf
-    z_other = masked.max(axis=2)
-    margins = z_label - z_other
-    score = margins.mean(axis=0)
+    score = (window_logits[:, idx, labels] - masked.max(axis=2)).mean(axis=0)
     return NoiseScores(method=METHOD_AUM, scores=score, polarity=LOW_IS_NOISY,
                        flagged=score < AUM_CUT, threshold_used=AUM_CUT)
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import threshold_dataset
-from noisygbdt import noise
-from noisygbdt.detect import (ALL_METHODS, HIGH_IS_NOISY, Gmm1D, _gmm_flags,
-                              aum_scores, confcorr_scores, detection_metrics,
-                              detection_report, fit_gmm_1d,
+from noisygbdt import detect, noise
+from noisygbdt.detect import (ALL_METHODS, HIGH_IS_NOISY, LOW_IS_NOISY, Gmm1D,
+                              _gmm_flags, aum_scores, confcorr_scores,
+                              detection_metrics, detection_report, fit_gmm_1d,
                               gmm_decision_threshold, gradient_scores,
                               lrt_scores, score_all)
 from noisygbdt.dynamics import DynamicsLog, EpochRecord
@@ -204,6 +204,108 @@ class TestGmm:
         gmm = fit_gmm_1d(x)
         cut = gmm_decision_threshold(gmm)
         assert 1.0 < cut < 4.0
+
+
+def _reference_fit_gmm_1d(values, max_iter=200, tol=1e-6):
+    """EM in the direct form: per iteration an (n, 2) log-density, a
+    max-shifted log-sum-exp normaliser, (n, 2) responsibilities and weighted
+    (n, 2) sums over the raw, uncentred scores."""
+    x = np.asarray(values, dtype=np.float64)
+    span = float(x.max() - x.min())
+    var_floor = 1e-9 * span * span
+    mu = np.array([np.percentile(x, 25.0), np.percentile(x, 75.0)])
+    var = np.full(2, max(float(x.var()), var_floor))
+    w = np.array([0.5, 0.5])
+    lls = []
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        log_p = (-0.5 * np.log(2.0 * np.pi * var)
+                 - (x[:, None] - mu) ** 2 / (2.0 * var)
+                 + np.log(w))
+        m = log_p.max(axis=1, keepdims=True)
+        log_norm = m + np.log(np.exp(log_p - m).sum(axis=1, keepdims=True))
+        ll = float(log_norm.sum())
+        lls.append(ll)
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+        resp = np.exp(log_p - log_norm)
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        mu = (resp * x[:, None]).sum(axis=0) / nk
+        var = (resp * (x[:, None] - mu) ** 2).sum(axis=0) / nk
+        var = np.maximum(var, var_floor)
+        w = nk / len(x)
+    order = np.argsort(mu, kind="stable")
+    return Gmm1D(means=mu[order], variances=var[order], weights=w[order],
+                 log_likelihoods=lls)
+
+
+def _confcorr_like(seed, n=456, rounds=40):
+    # (mean label probability + fraction of rounds correct) / 2: a
+    # continuous half plus a half on the grid k / rounds
+    rng = np.random.default_rng(seed)
+    beta = np.concatenate([rng.beta(8.0, 2.0, n - n // 4),
+                           rng.beta(2.0, 5.0, n // 4)])
+    return 0.5 * (beta + rng.binomial(rounds, beta) / rounds)
+
+
+def _two_clusters(seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(0.0, 1.0, 80), rng.normal(4.0, 2.0, 40)])
+
+
+def _offset(seed):
+    # a spread of about 10 on top of 1e6: raw second moments would cancel
+    # in all but the last few digits. A much smaller spread costs the
+    # reference its own 1e-9 accuracy, as it subtracts a rounded mean from
+    # the raw scores.
+    rng = np.random.default_rng(seed)
+    return 1e6 + np.concatenate([rng.normal(0.0, 5.0, 150),
+                                 rng.normal(25.0, 10.0, 100)])
+
+
+def _collapse():
+    # one far outlier below a 20,000-row cluster: the lower component shrinks
+    # onto it, weight 1 / 20,001, floored variance; its sums are the totals
+    # minus the upper component's
+    rng = np.random.default_rng(3)
+    return np.append(rng.normal(0.0, 1.0, 20_000), -1e3)
+
+
+ORACLE_CASES = {
+    **{f"two_clusters_{s}": (lambda s=s: _two_clusters(s)) for s in range(3)},
+    **{f"confcorr_{s}": (lambda s=s: _confcorr_like(s)) for s in range(3)},
+    **{f"offset_{s}": (lambda s=s: _offset(s)) for s in range(3)},
+    "two_atoms": lambda: np.array([0.0, 0.0, 10.0, 10.0]),
+    "collapse": _collapse,
+}
+
+
+class TestFusedEmMatchesReference:
+    """The one-pass loop of ``fit_gmm_1d`` agrees with the direct (n, 2)
+    form: the same iteration count, parameters to 1e-9 and the same flags."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_same_fit_and_flags(self, case, monkeypatch):
+        x = ORACLE_CASES[case]()
+        got, want = fit_gmm_1d(x), _reference_fit_gmm_1d(x)
+        assert len(got.log_likelihoods) == len(want.log_likelihoods)
+        for key in ("means", "variances", "weights"):
+            np.testing.assert_allclose(getattr(got, key), getattr(want, key),
+                                       rtol=1e-9, err_msg=key)
+        ours = {p: _gmm_flags(x, p) for p in (LOW_IS_NOISY, HIGH_IS_NOISY)}
+        monkeypatch.setattr(detect, "fit_gmm_1d", _reference_fit_gmm_1d)
+        for polarity, (flags, _, note) in ours.items():
+            ref_flags, _, ref_note = _gmm_flags(x, polarity)
+            assert note == ref_note
+            assert np.array_equal(flags, ref_flags)
+
+    def test_collapse_reaches_a_single_row(self):
+        x = _collapse()
+        gmm = fit_gmm_1d(x)
+        assert gmm.weights[0] == pytest.approx(1.0 / 20_001, rel=1e-9)
+        assert gmm.variances[0] == pytest.approx(1e-9 * np.ptp(x) ** 2,
+                                                 rel=1e-12)
 
 
 def _mixture(means, variances, upper_to_lower_log_ratio):
