@@ -7,9 +7,10 @@ realization per (kind, rate) so cells differ only in the method. Stage 3
 aggregates stage-2 reports into comparison tables, one set per noise kind.
 
 The unit of work is a (kind, rate, trial) group (``run_group``): its data,
-noise and warm-up rounds are prepared and trained once, and every cell
-continues from a fork of that prefix. A cell that fails leaves ``error.txt``
-in its directory instead of a report, and the rest of the grid goes on.
+noise and warm-up rounds are prepared and trained once, and every cell rides
+that one run until its correction first changes a weight or a label, where
+it forks. A cell that fails leaves ``error.txt`` in its directory instead of
+a report, and the rest of the grid goes on.
 """
 
 from __future__ import annotations
@@ -250,26 +251,70 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
     uncorrected baseline. The noise realization and validation carve depend
     only on (trial_seed, kind, rate), and the correction callback is not
     invoked before ``warmup_rounds``, so all cells train the same warm-up.
-    It is trained once; each cell continues from a fork of it with its own
-    NoiseHandler, and the last cell takes the prefix itself, so a one-cell
-    group copies nothing. If early stopping fires inside the warm-up, every
-    cell equals the prefix.
+
+    One trunk Booster trains past the warm-up with no callback, and every
+    cell rides it until its correction first changes a weight or a label.
+    Each round, a riding cell's NoiseHandler sees the trunk's dynamics and
+    the cell's own copies of the labels and weights (which its correction
+    state binds). While both arrays still equal the trunk's, the cell's run
+    is the trunk's, so it trains no trees of its own. Once they differ, the
+    cell forks the trunk before that round's trees: the fork adopts the
+    cell's arrays, trains the round and runs on to the end at once, so at
+    most the trunk and one fork are alive. The last riding cell to diverge
+    takes the trunk itself, so a one-cell group copies nothing. The trunk
+    steps only while some cell rides; cells that ride to the end, or to an
+    early stop, take the trunk's result.
 
     Returns one entry per cell, in order: its RunReport, or the exception
-    the cell raised, so one failing cell does not cost the others. An
-    exception before the fork (noise injection, the warm-up) propagates.
+    the cell raised, so one failing cell does not cost the others. A handler
+    that raises fails its own cell. An exception from the trunk's step fails
+    every cell still riding, as each one's own step would have raised it.
+    An exception before the first post-warm-up round (noise injection, the
+    warm-up) propagates.
     """
     cfg.boost.validate(with_callback=True)
     fit_ds, monitor, noise_seed = _noisy_fit_set(cfg, train_ds, kind, rate,
                                                  trial_seed)
-    prefix = Booster(fit_ds, cfg.boost, test=test_ds, monitor=monitor).run(
+    trunk = Booster(fit_ds, cfg.boost, test=test_ds, monitor=monitor).run(
         until=cfg.boost.warmup_rounds)
-    results = []
-    for i, (detector, correction) in enumerate(cells):
+    handlers = [_handler(cfg, detector, correction)
+                for detector, correction in cells]
+    results: list = [None] * len(cells)
+    riding = {i: (trunk.labels.copy(), trunk.weights.copy())
+              for i in range(len(cells))}
+    while riding and not trunk.done:
+        t = trunk.rounds_trained
+        for i in list(riding):
+            labels, weights = riding[i]
+            try:
+                changed = handlers[i](t, trunk.dynamics, labels, weights)
+                # removal changes weights and returns False, so compare
+                if (np.array_equal(labels, trunk.labels)
+                        and np.array_equal(weights, trunk.weights)):
+                    continue
+                del riding[i]
+                booster = trunk.fork() if riding else trunk
+                booster.labels, booster.weights = labels, weights
+                # the handler has run this round; step applies its answer
+                booster.step(lambda *_: changed)
+                results[i] = booster.run(handlers[i]).result().report
+            except Exception as exc:
+                riding.pop(i, None)
+                results[i] = exc
+        if riding:
+            try:
+                trunk.step()
+            except Exception as exc:
+                for i in riding:
+                    results[i] = exc
+                riding.clear()
+    for i in riding:
+        results[i] = trunk.result().report
+    for i, ((detector, correction), handler, report) in enumerate(
+            zip(cells, handlers, results)):
+        if isinstance(report, Exception):
+            continue
         try:
-            booster = prefix if i == len(cells) - 1 else prefix.fork()
-            handler = _handler(cfg, detector, correction)
-            report = booster.run(handler).result().report
             # training and correction act without the ground truth; it is
             # used here
             report.empirical_noise_rate = float(fit_ds.noise_mask.mean())
@@ -288,9 +333,8 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
                              "training": report.config,
                              "noise_seed": noise_seed}
             report.correction_summary = handler.summary()
-            results.append(report)
         except Exception as exc:
-            results.append(exc)
+            results[i] = exc
     return results
 
 

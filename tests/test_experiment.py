@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 import yaml
 
-from noisygbdt import experiment, noise
+from noisygbdt import experiment, gbdt, noise
 from noisygbdt.correct import NoiseHandler
 from noisygbdt.data_ingest import SplitSpec
 from noisygbdt.experiment import (ExperimentConfig, ExperimentError,
                                   config_from_dict, derive_seed, load_config,
                                   prepare_data, run_cell, run_group,
                                   run_stage1, run_stage2, run_stage3)
-from noisygbdt.gbdt import BoostConfig
+from noisygbdt.gbdt import Booster, BoostConfig, TrainingDivergedError
 from noisygbdt.metrics_report import load_report
 
 
@@ -288,6 +288,80 @@ def _comparable(report):
     return {k: v for k, v in report.to_dict().items() if k != "created_at"}
 
 
+# a stage-2 grid point: the baseline, then 4 detectors x 2 corrections
+GRID = [(None, "none")] + [(detector, correction)
+                           for detector in ("lrt", "aum", "confcorr",
+                                            "gradients")
+                           for correction in ("remove", "relabel")]
+# at seed 7 these remove rows at round 15; the other cells of GRID change
+# neither a weight nor a label (lrt and aum flag nothing, and the relabels
+# keep each row's label)
+DIVERGING = [("confcorr", "remove"), ("gradients", "remove")]
+# what a Booster run produces, before the experiment layer adds detection
+TRAINED = ("rounds_trained", "best_round", "stopped_early", "series",
+           "prediction_types", "final")
+
+
+def _trained(report) -> dict:
+    return {k: getattr(report, k) for k in TRAINED}
+
+
+def cancer_config(**boost) -> ExperimentConfig:
+    """breast_cancer at 30% pair noise, 30 rounds, seed 7. With the default
+    patience early stopping fires at round 28."""
+    return ExperimentConfig(dataset="breast_cancer", noise_kinds=("pair",),
+                            noise_rates=(0.3,), seed=7,
+                            boost=BoostConfig(n_rounds=30, warmup_rounds=15,
+                                              **boost))
+
+
+@pytest.fixture(scope="module")
+def cancer_data():
+    cfg = cancer_config()
+    return prepare_data(cfg, cfg.seed)
+
+
+def assert_cells_run_alone(cfg, data, cells) -> list:
+    """Run a group and check each report against its cell run alone: all of
+    it against ``run_cell``, and what training produced against one Booster
+    that calls the cell's handler every round, as a cell is defined to
+    train, with no trunk involved."""
+    train_ds, test_ds = data
+    group = run_group(cfg, train_ds, test_ds, "pair", 0.3, cells, cfg.seed)
+    assert len(group) == len(cells)
+    fit_ds, monitor, _ = experiment._noisy_fit_set(cfg, train_ds, "pair",
+                                                   0.3, cfg.seed)
+    for (det, corr), report in zip(cells, group):
+        alone = run_cell(cfg, train_ds, test_ds, "pair", 0.3, det, corr,
+                         cfg.seed)
+        assert _comparable(report) == _comparable(alone), (det, corr)
+        handler = experiment._handler(cfg, det, corr)
+        straight = Booster(fit_ds, cfg.boost, test=test_ds,
+                           monitor=monitor).run(handler).result().report
+        assert _trained(report) == _trained(straight), (det, corr)
+        assert report.correction_summary == handler.summary(), (det, corr)
+    return group
+
+
+class LateEdit(NoiseHandler):
+    """Scores like an uncorrected handler and, at round ``at`` only, zeroes
+    row 3's weight (answering False, as removal does) or moves its label."""
+
+    def __init__(self, edit: str, at: int):
+        super().__init__(detectors=("lrt",))
+        self.edit, self.at = edit, at
+
+    def __call__(self, round_index, dynamics, labels, weights) -> bool:
+        changed = super().__call__(round_index, dynamics, labels, weights)
+        if round_index != self.at:
+            return changed
+        if self.edit == "weight":
+            weights[3] = 0.0
+            return False
+        labels[3] = 1 - labels[3]
+        return True
+
+
 class TestGroups:
     CELLS = [(None, "none"), ("aum", "relabel"), ("lrt", "remove"),
              ("confcorr", "relabel"), ("gradients", "remove")]
@@ -296,13 +370,8 @@ class TestGroups:
     def test_forked_cells_equal_independent_cells(self, tmp_path, monitor):
         cfg = tiny_config(tmp_path, monitor=monitor,
                           boost=BoostConfig(n_rounds=22, warmup_rounds=15))
-        train_ds, test_ds = prepare_data(cfg, cfg.seed)
-        group = run_group(cfg, train_ds, test_ds, "pair", 0.3, self.CELLS,
-                          cfg.seed)
-        for (det, corr), report in zip(self.CELLS, group):
-            alone = run_cell(cfg, train_ds, test_ds, "pair", 0.3, det, corr,
-                             cfg.seed)
-            assert _comparable(report) == _comparable(alone), (det, corr)
+        group = assert_cells_run_alone(cfg, prepare_data(cfg, cfg.seed),
+                                       self.CELLS)
         relabeled = [ev for r in group for ev in r.correction_events
                      if ev["action"] == "relabel"
                      and ev["old_label"] != ev["new_label"]]
@@ -377,6 +446,108 @@ class TestGroups:
         with pytest.raises(RuntimeError, match="no warm-up"):
             run_cell(cfg, *prepare_data(cfg, cfg.seed), "pair", 0.3, None,
                      "none", cfg.seed)
+
+
+class TestTrunk:
+    """A group trains one trunk that its cells ride until their correction
+    first changes a weight or a label."""
+
+    @pytest.mark.parametrize("patience", [30, 10])
+    def test_grid_point_equals_cells_run_alone(self, cancer_data, patience):
+        cfg = cancer_config(early_stop_patience=patience)
+        group = assert_cells_run_alone(cfg, cancer_data, GRID)
+        # early stopping fires at round 28 while seven cells ride
+        assert group[0].rounds_trained == (30 if patience == 30 else 28)
+        # cells that never change a weight or label ride to the end (or to
+        # the early stop) and report the baseline's run
+        for cell, report in zip(GRID, group):
+            assert ((_trained(report) == _trained(group[0]))
+                    == (cell not in DIVERGING)), cell
+
+    @pytest.mark.parametrize("edit", ["weight", "label"])
+    def test_late_edit_forks_at_its_round(self, cancer_data, monkeypatch,
+                                          edit):
+        # lrt's cell forks at round 20; aum's, the last rider, takes the
+        # trunk at round 25
+        at = {"lrt": 20, "aum": 25}
+        monkeypatch.setattr(experiment, "_handler",
+                            lambda cfg, det, corr: LateEdit(edit, at[det]))
+        cfg = cancer_config(early_stop_patience=30)
+        first, second = assert_cells_run_alone(
+            cfg, cancer_data, [("lrt", "remove"), ("aum", "remove")])
+        # round 20's tree already sees lrt's edit
+        losses = first.series["train_logloss"], second.series["train_logloss"]
+        assert losses[0][:20] == losses[1][:20]
+        assert losses[0][20] != losses[1][20]
+
+    def test_riding_cells_fit_no_trees(self, cancer_data, monkeypatch):
+        fits = []
+        real = gbdt._fit_tree
+
+        def counting(*args, **kwargs):
+            fits.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gbdt, "_fit_tree", counting)
+        cfg = cancer_config(early_stop_patience=30)
+        cells = [cell for cell in GRID if cell[0] in (None, "lrt", "aum")]
+        group = run_group(cfg, *cancer_data, "pair", 0.3, cells, cfg.seed)
+        assert [r.rounds_trained for r in group] == [30] * len(cells)
+        assert len(fits) == 30   # the trunk's, one binary tree per round
+
+    @pytest.mark.parametrize("cell", [(None, "none"), ("confcorr", "remove")])
+    def test_one_cell_group_never_forks(self, cancer_data, monkeypatch, cell):
+        def no_fork(self):
+            raise AssertionError("a one-cell group forked its booster")
+
+        monkeypatch.setattr(Booster, "fork", no_fork)
+        cfg = cancer_config()
+        report = run_cell(cfg, *cancer_data, "pair", 0.3, *cell, cfg.seed)
+        assert (report.correction_summary["removed_total"] > 0) == (
+            cell in DIVERGING)
+
+    def test_handler_failing_while_riding_fails_its_cell_alone(
+            self, cancer_data, monkeypatch):
+        cfg = cancer_config()
+        expected = run_group(cfg, *cancer_data, "pair", 0.3, GRID, cfg.seed)
+
+        class FailsAt17(NoiseHandler):
+            def __call__(self, round_index, *args):
+                if (self.detectors, self.mode, round_index) == (
+                        ("lrt",), "remove", 17):
+                    raise RuntimeError("injected failure")
+                return super().__call__(round_index, *args)
+
+        monkeypatch.setattr(experiment, "NoiseHandler", FailsAt17)
+        group = run_group(cfg, *cancer_data, "pair", 0.3, GRID, cfg.seed)
+        failed = GRID.index(("lrt", "remove"))
+        assert len(group) == len(GRID)
+        for i, (report, want) in enumerate(zip(group, expected)):
+            if i == failed:
+                assert isinstance(report, RuntimeError)
+            else:
+                assert _comparable(report) == _comparable(want), GRID[i]
+
+    def test_trunk_failure_fails_only_riding_cells(self, cancer_data,
+                                                   monkeypatch):
+        cfg = cancer_config()
+        expected = run_group(cfg, *cancer_data, "pair", 0.3, GRID, cfg.seed)
+        real = Booster.step
+
+        def step(self, callback=None):
+            # only the trunk steps without a callback after the warm-up
+            if callback is None and self.rounds_trained == 20:
+                raise TrainingDivergedError("injected")
+            real(self, callback)
+
+        monkeypatch.setattr(Booster, "step", step)
+        group = run_group(cfg, *cancer_data, "pair", 0.3, GRID, cfg.seed)
+        assert len(group) == len(GRID)
+        for cell, report, want in zip(GRID, group, expected):
+            if cell in DIVERGING:
+                assert _comparable(report) == _comparable(want), cell
+            else:
+                assert isinstance(report, TrainingDivergedError), cell
 
 
 class TestPrepareData:
