@@ -7,10 +7,10 @@ realization per (kind, rate) so cells differ only in the method. Stage 3
 aggregates stage-2 reports into comparison tables, one set per noise kind.
 
 The unit of work is a (kind, rate, trial) group (``run_group``): its data,
-noise and warm-up rounds are prepared and trained once, and every cell rides
-that one run until its correction first changes a weight or a label, where
-it forks. A cell that fails leaves ``error.txt`` in its directory instead of
-a report, and the rest of the grid goes on.
+noise and warm-up rounds are prepared and trained once, and cells share one
+run for as long as their corrections have made the same edits, forking where
+they first differ. A cell that fails leaves ``error.txt`` in its directory
+instead of a report, and the rest of the grid goes on.
 """
 
 from __future__ import annotations
@@ -243,6 +243,67 @@ def _handler(cfg: ExperimentConfig, detector: str | None,
                         removal_budget=cfg.removal_budget)
 
 
+def _ride(booster: Booster, riding: dict, handlers: list, results: list,
+          callback=None) -> None:
+    """Train ``booster`` on for the cells in ``riding`` and put each one's
+    report, or the exception that failed it, into ``results``.
+
+    ``riding`` maps a cell to its own labels and weights, which its handler
+    edits and which equal the booster's. Each round every riding cell's
+    handler runs on the booster's dynamics; cells whose arrays then differ
+    from the booster's leave it, grouped by equal arrays and equal answer,
+    since both decide the next tree. Each group forks the booster before
+    this round's trees and rides the fork to its end at once; the last group
+    takes the booster itself when no cell stays. ``callback``, if given,
+    steps the booster's current round on edits it has already adopted.
+    """
+    while riding and not booster.done:
+        if callback is None:
+            t = booster.rounds_trained
+            groups = []     # [labels, weights, answer, members]
+            for i in list(riding):
+                labels, weights = riding[i]
+                try:
+                    answer = handlers[i](t, booster.dynamics, labels, weights)
+                except Exception as exc:
+                    del riding[i]
+                    results[i] = exc
+                    continue
+                # removal changes weights and returns False, so compare
+                if (np.array_equal(labels, booster.labels)
+                        and np.array_equal(weights, booster.weights)):
+                    continue
+                group = next((g for g in groups if g[2] == answer
+                              and np.array_equal(g[0], labels)
+                              and np.array_equal(g[1], weights)), None)
+                if group is None:
+                    group = [labels, weights, answer, {}]
+                    groups.append(group)
+                group[3][i] = riding.pop(i)
+            for n, (labels, weights, answer, members) in enumerate(groups):
+                last = not riding and n == len(groups) - 1
+                fork = booster if last else booster.fork()
+                np.copyto(fork.labels, labels)
+                np.copyto(fork.weights, weights)
+                # the handlers have run this round; step applies their answer
+                step = (lambda *_, answer=answer: answer)
+                if last:
+                    riding, callback = members, step
+                else:
+                    _ride(fork, members, handlers, results, step)
+            if not riding:
+                return
+        try:
+            booster.step(callback)
+        except Exception as exc:
+            for i in riding:
+                results[i] = exc
+            return
+        callback = None
+    for i in riding:
+        results[i] = booster.result().report
+
+
 def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
               rate: float, cells, trial_seed: int) -> list:
     """Train the cells of one (noise kind, rate, trial) grid point.
@@ -253,23 +314,22 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
     invoked before ``warmup_rounds``, so all cells train the same warm-up.
 
     One trunk Booster trains past the warm-up with no callback, and every
-    cell rides it until its correction first changes a weight or a label.
-    Each round, a riding cell's NoiseHandler sees the trunk's dynamics and
-    the cell's own copies of the labels and weights (which its correction
-    state binds). While both arrays still equal the trunk's, the cell's run
-    is the trunk's, so it trains no trees of its own. Once they differ, the
-    cell forks the trunk before that round's trees: the fork adopts the
-    cell's arrays, trains the round and runs on to the end at once, so at
-    most the trunk and one fork are alive. The last riding cell to diverge
-    takes the trunk itself, so a one-cell group copies nothing. The trunk
-    steps only while some cell rides; cells that ride to the end, or to an
-    early stop, take the trunk's result.
+    cell rides it while its correction leaves its labels and weights equal
+    to the trunk's (``_ride``), so riding cells train no trees of their own.
+    Cells whose arrays first differ in the same round fork the trunk before
+    that round's trees, one fork per distinct (labels, weights, answer), and
+    ride that fork in turn. So cells that make the same edits share every
+    tree they have in common, and a cell trains alone only from the round
+    its run first differs from every other cell's. Forks run to the end at
+    once, depth first, and the last group to leave a booster takes it
+    instead of a fork, so a one-cell group copies nothing. Cells that ride a
+    booster to its end, or to an early stop, take its result.
 
     Returns one entry per cell, in order: its RunReport, or the exception
     the cell raised, so one failing cell does not cost the others. A handler
-    that raises fails its own cell. An exception from the trunk's step fails
-    every cell still riding, as each one's own step would have raised it.
-    An exception before the first post-warm-up round (noise injection, the
+    that raises fails its own cell. An exception from a booster's step fails
+    every cell riding it, as each one's own step would have raised it. An
+    exception before the first post-warm-up round (noise injection, the
     warm-up) propagates.
     """
     cfg.boost.validate(with_callback=True)
@@ -280,36 +340,8 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
     handlers = [_handler(cfg, detector, correction)
                 for detector, correction in cells]
     results: list = [None] * len(cells)
-    riding = {i: (trunk.labels.copy(), trunk.weights.copy())
-              for i in range(len(cells))}
-    while riding and not trunk.done:
-        t = trunk.rounds_trained
-        for i in list(riding):
-            labels, weights = riding[i]
-            try:
-                changed = handlers[i](t, trunk.dynamics, labels, weights)
-                # removal changes weights and returns False, so compare
-                if (np.array_equal(labels, trunk.labels)
-                        and np.array_equal(weights, trunk.weights)):
-                    continue
-                del riding[i]
-                booster = trunk.fork() if riding else trunk
-                booster.labels, booster.weights = labels, weights
-                # the handler has run this round; step applies its answer
-                booster.step(lambda *_: changed)
-                results[i] = booster.run(handlers[i]).result().report
-            except Exception as exc:
-                riding.pop(i, None)
-                results[i] = exc
-        if riding:
-            try:
-                trunk.step()
-            except Exception as exc:
-                for i in riding:
-                    results[i] = exc
-                riding.clear()
-    for i in riding:
-        results[i] = trunk.result().report
+    _ride(trunk, {i: (trunk.labels.copy(), trunk.weights.copy())
+                  for i in range(len(cells))}, handlers, results)
     for i, ((detector, correction), handler, report) in enumerate(
             zip(cells, handlers, results)):
         if isinstance(report, Exception):

@@ -677,9 +677,9 @@ class Booster:
     per-round series and the ensemble. ``fork`` copies that state, so several
     runs can continue from one trained prefix; ``result`` reports the run.
     ``step`` trains one round and ``run`` steps on until the end. A caller
-    may replace ``labels`` and ``weights`` between steps with arrays of the
-    same shape and dtype; as with a callback's edits, the next step's
-    gradients follow new labels only if its callback reports a change.
+    may edit ``labels`` and ``weights`` in place between steps; as with a
+    callback's edits, the next step's gradients follow new labels only if
+    its callback reports a change.
 
     Training scores are a prediction cache: each tree adds its leaf values to
     the rows the grower put in each leaf, the same single addition per row

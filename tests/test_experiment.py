@@ -345,7 +345,9 @@ def assert_cells_run_alone(cfg, data, cells) -> list:
 
 class LateEdit(NoiseHandler):
     """Scores like an uncorrected handler and, at round ``at`` only, zeroes
-    row 3's weight (answering False, as removal does) or moves its label."""
+    row 3's weight (answering False, as removal does) or moves its label
+    (answering True, or False for "silent-label", so that the round's tree
+    still fits the gradients of the old label)."""
 
     def __init__(self, edit: str, at: int):
         super().__init__(detectors=("lrt",))
@@ -359,7 +361,20 @@ class LateEdit(NoiseHandler):
             weights[3] = 0.0
             return False
         labels[3] = 1 - labels[3]
-        return True
+        return self.edit == "label"
+
+
+def count_tree_fits(monkeypatch) -> list:
+    """Patch ``gbdt._fit_tree`` to append to the returned list per call."""
+    fits = []
+    real = gbdt._fit_tree
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gbdt, "_fit_tree", counting)
+    return fits
 
 
 class TestGroups:
@@ -481,19 +496,44 @@ class TestTrunk:
         assert losses[0][20] != losses[1][20]
 
     def test_riding_cells_fit_no_trees(self, cancer_data, monkeypatch):
-        fits = []
-        real = gbdt._fit_tree
-
-        def counting(*args, **kwargs):
-            fits.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(gbdt, "_fit_tree", counting)
+        fits = count_tree_fits(monkeypatch)
         cfg = cancer_config(early_stop_patience=30)
         cells = [cell for cell in GRID if cell[0] in (None, "lrt", "aum")]
         group = run_group(cfg, *cancer_data, "pair", 0.3, cells, cfg.seed)
         assert [r.rounds_trained for r in group] == [30] * len(cells)
         assert len(fits) == 30   # the trunk's, one binary tree per round
+
+    @pytest.mark.parametrize("edit", ["weight", "label"])
+    def test_cells_with_equal_edits_share_a_fork(self, cancer_data,
+                                                 monkeypatch, edit):
+        # lrt's and aum's cells make the same edit at round 20 and ride one
+        # fork from there; the baseline keeps the trunk
+        at = {None: -1, "lrt": 20, "aum": 20}
+        monkeypatch.setattr(experiment, "_handler",
+                            lambda cfg, det, corr: LateEdit(edit, at[det]))
+        cfg = cancer_config(early_stop_patience=30)
+        cells = [(None, "none"), ("lrt", "remove"), ("aum", "remove")]
+        fits = count_tree_fits(monkeypatch)
+        run_group(cfg, *cancer_data, "pair", 0.3, cells, cfg.seed)
+        assert len(fits) == 30 + 10
+        _, first, second = assert_cells_run_alone(cfg, cancer_data, cells)
+        assert _trained(first) == _trained(second)
+
+    def test_equal_edits_with_different_answers_fork_apart(
+            self, cancer_data, monkeypatch):
+        # both move row 3's label at round 20, but only lrt's handler says
+        # so, so only its round-20 tree fits the new label's gradients
+        edit = {None: ("weight", -1), "lrt": ("label", 20),
+                "aum": ("silent-label", 20)}
+        monkeypatch.setattr(experiment, "_handler",
+                            lambda cfg, det, corr: LateEdit(*edit[det]))
+        cfg = cancer_config(early_stop_patience=30)
+        cells = [(None, "none"), ("lrt", "relabel"), ("aum", "relabel")]
+        fits = count_tree_fits(monkeypatch)
+        run_group(cfg, *cancer_data, "pair", 0.3, cells, cfg.seed)
+        assert len(fits) == 30 + 10 + 10
+        _, first, second = assert_cells_run_alone(cfg, cancer_data, cells)
+        assert _trained(first) != _trained(second)
 
     @pytest.mark.parametrize("cell", [(None, "none"), ("confcorr", "remove")])
     def test_one_cell_group_never_forks(self, cancer_data, monkeypatch, cell):
@@ -532,14 +572,20 @@ class TestTrunk:
                                                    monkeypatch):
         cfg = cancer_config()
         expected = run_group(cfg, *cancer_data, "pair", 0.3, GRID, cfg.seed)
-        real = Booster.step
+        built = []
+        real_init, real_step = Booster.__init__, Booster.step
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self)
 
         def step(self, callback=None):
-            # only the trunk steps without a callback after the warm-up
-            if callback is None and self.rounds_trained == 20:
+            # forks are copies, so the one booster built is the trunk
+            if self is built[0] and self.rounds_trained == 20:
                 raise TrainingDivergedError("injected")
-            real(self, callback)
+            real_step(self, callback)
 
+        monkeypatch.setattr(Booster, "__init__", init)
         monkeypatch.setattr(Booster, "step", step)
         group = run_group(cfg, *cancer_data, "pair", 0.3, GRID, cfg.seed)
         assert len(group) == len(GRID)
