@@ -10,7 +10,7 @@ from .dynamics import DynamicsLog, EpochRecord
 from .detect import (Gmm1D, NoiseScores, aum_scores, confcorr_scores,
                      detection_metrics, fit_gmm_1d, gradient_scores,
                      lrt_scores)
-from .correct import CorrectionState, NoiseHandler, apply_relabel, apply_removal
+from .correct import NoiseHandler, apply_relabel, apply_removal
 from .metrics_report import (ClassificationMetrics, RunReport,
                              classification_metrics, prediction_type_counts,
                              write_report)
@@ -18,8 +18,8 @@ from .metrics_report import (ClassificationMetrics, RunReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoostConfig", "Booster", "ClassificationMetrics",
-    "CorrectionState", "Dataset", "DynamicsLog", "Ensemble", "EpochRecord",
+    "BoostConfig", "Booster", "ClassificationMetrics", "Dataset",
+    "DynamicsLog", "Ensemble", "EpochRecord",
     "Gmm1D", "NoiseHandler", "NoiseScores", "NoiseSpec", "RunReport",
     "SplitSpec", "TrainResult", "TransitionMatrix", "Tree", "apply_relabel",
     "apply_removal", "aum_scores", "build_tree", "classification_metrics",

@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from . import datasets, detect, noise
-from .correct import NoiseHandler
+from .correct import DEFAULT_REMOVAL_BUDGET, NoiseHandler
 from .data_ingest import SplitSpec, load_csv, prepare, subsample_table
 from .gbdt import Booster, BoostConfig
 from .metrics_report import (RunReport, load_report, write_tables_csv,
@@ -64,7 +64,7 @@ class ExperimentConfig:
     # that correction buys, truncating corrected runs back to the warm-up point
     monitor: str = "clean_test"
     noisy_val_fraction: float = 0.1
-    removal_budget: float = 0.8
+    removal_budget: float = DEFAULT_REMOVAL_BUDGET
     seed: int = 7
     out_dir: str = "runs"
     subsample: int | None = None
@@ -243,63 +243,62 @@ def _handler(cfg: ExperimentConfig, detector: str | None,
                         removal_budget=cfg.removal_budget)
 
 
-def _ride(booster: Booster, riding: dict, handlers: list, results: list,
-          callback=None) -> None:
+def _step(booster: Booster, riding: dict, results: list) -> bool:
+    """Train the booster's next round; an exception fails every cell riding
+    it."""
+    try:
+        booster.step()
+    except Exception as exc:
+        for i in riding:
+            results[i] = exc
+        return False
+    return True
+
+
+def _ride(booster: Booster, riding: dict, handlers: list,
+          results: list) -> None:
     """Train ``booster`` on for the cells in ``riding`` and put each one's
     report, or the exception that failed it, into ``results``.
 
     ``riding`` maps a cell to its own labels and weights, which its handler
     edits and which equal the booster's. Each round every riding cell's
     handler runs on the booster's dynamics; cells whose arrays then differ
-    from the booster's leave it, grouped by equal arrays and equal answer,
-    since both decide the next tree. Each group forks the booster before
-    this round's trees and rides the fork to its end at once; the last group
-    takes the booster itself when no cell stays. ``callback``, if given,
-    steps the booster's current round on edits it has already adopted.
+    from the booster's leave it, grouped by equal arrays, since the arrays
+    alone decide the next tree. Each group forks the booster, which adopts
+    the group's arrays, steps this round and rides on to its end at once;
+    the last group takes the booster itself when no cell stays.
     """
     while riding and not booster.done:
-        if callback is None:
-            t = booster.rounds_trained
-            groups = []     # [labels, weights, answer, members]
-            for i in list(riding):
-                labels, weights = riding[i]
-                try:
-                    answer = handlers[i](t, booster.dynamics, labels, weights)
-                except Exception as exc:
-                    del riding[i]
-                    results[i] = exc
-                    continue
-                # removal changes weights and returns False, so compare
-                if (np.array_equal(labels, booster.labels)
-                        and np.array_equal(weights, booster.weights)):
-                    continue
-                group = next((g for g in groups if g[2] == answer
-                              and np.array_equal(g[0], labels)
-                              and np.array_equal(g[1], weights)), None)
-                if group is None:
-                    group = [labels, weights, answer, {}]
-                    groups.append(group)
-                group[3][i] = riding.pop(i)
-            for n, (labels, weights, answer, members) in enumerate(groups):
-                last = not riding and n == len(groups) - 1
-                fork = booster if last else booster.fork()
-                np.copyto(fork.labels, labels)
-                np.copyto(fork.weights, weights)
-                # the handlers have run this round; step applies their answer
-                step = (lambda *_, answer=answer: answer)
-                if last:
-                    riding, callback = members, step
-                else:
-                    _ride(fork, members, handlers, results, step)
-            if not riding:
-                return
-        try:
-            booster.step(callback)
-        except Exception as exc:
-            for i in riding:
+        t = booster.rounds_trained
+        groups = []     # [labels, weights, members]
+        for i in list(riding):
+            labels, weights = riding[i]
+            try:
+                handlers[i](t, booster.dynamics, labels, weights)
+            except Exception as exc:
+                del riding[i]
                 results[i] = exc
+                continue
+            if (np.array_equal(labels, booster.labels)
+                    and np.array_equal(weights, booster.weights)):
+                continue
+            group = next((g for g in groups if np.array_equal(g[0], labels)
+                          and np.array_equal(g[1], weights)), None)
+            if group is None:
+                group = [labels, weights, {}]
+                groups.append(group)
+            group[2][i] = riding.pop(i)
+        for n, (labels, weights, members) in enumerate(groups):
+            fork = (booster if not riding and n == len(groups) - 1
+                    else booster.fork())
+            np.copyto(fork.labels, labels)
+            np.copyto(fork.weights, weights)
+            if fork is booster:
+                riding = members
+            elif _step(fork, members, results):
+                _ride(fork, members, handlers, results)
+        if not riding or not _step(booster, riding, results):
             return
-        callback = None
     for i in riding:
         results[i] = booster.result().report
 
@@ -313,17 +312,17 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
     only on (trial_seed, kind, rate), and the correction callback is not
     invoked before ``warmup_rounds``, so all cells train the same warm-up.
 
-    One trunk Booster trains past the warm-up with no callback, and every
-    cell rides it while its correction leaves its labels and weights equal
-    to the trunk's (``_ride``), so riding cells train no trees of their own.
-    Cells whose arrays first differ in the same round fork the trunk before
-    that round's trees, one fork per distinct (labels, weights, answer), and
-    ride that fork in turn. So cells that make the same edits share every
-    tree they have in common, and a cell trains alone only from the round
-    its run first differs from every other cell's. Forks run to the end at
-    once, depth first, and the last group to leave a booster takes it
-    instead of a fork, so a one-cell group copies nothing. Cells that ride a
-    booster to its end, or to an early stop, take its result.
+    One trunk Booster trains past the warm-up with no callback. Each cell's
+    handler edits the cell's own copies of the labels and weights, and the
+    cell rides the trunk while they equal the trunk's (``_ride``), training
+    no trees of its own. Cells whose arrays first differ in the same round
+    fork the trunk before that round's trees, one fork per distinct (labels,
+    weights), and ride that fork in turn. So cells that make the same edits
+    share every tree they have in common, and a cell trains alone only from
+    the round its run first differs from every other cell's. Forks run to
+    the end at once, depth first, and the last group to leave a booster
+    takes it instead of a fork, so a one-cell group copies nothing. Cells
+    that ride a booster to its end, or to an early stop, take its result.
 
     Returns one entry per cell, in order: its RunReport, or the exception
     the cell raised, so one failing cell does not cost the others. A handler

@@ -5,14 +5,13 @@ A ``Booster`` holds one run's state and trains one round per ``step``;
 a trained prefix. The trainer exposes everything the noise detectors
 consume: per-round logits, probabilities, predictions, and per-instance
 gradients are recorded into a DynamicsLog, and an optional per-round callback
-may zero instance weights or rewrite labels before that round's trees are
-fit; it returns whether it changed any label. Training and the callback use
-the noisy labels alone (the clean training labels only feed the report's
-prediction-type counts), and the trainer does not score detector flags: the
-experiment layer does that against the injected noise
-(``detect.detection_report``). Training scores are updated from the grower's
-leaf partition; only zero-weight rows and held-out sets go through
-``Tree.predict``.
+may zero instance weights or rewrite labels in place, and that round's trees
+fit the edited arrays. Training and the callback use the noisy labels alone
+(the clean training labels only feed the report's prediction-type counts),
+and the trainer does not score detector flags: the experiment layer does
+that against the injected noise (``detect.detection_report``). Training
+scores are updated from the grower's leaf partition; only zero-weight rows
+and held-out sets go through ``Tree.predict``.
 
 The fit size picks the split search, with no setting to override it: up to
 2,048 fitted rows it is exact greedy (columns presorted once per run, each
@@ -676,10 +675,10 @@ class Booster:
     the next round's inputs, the DynamicsLog, the early stopper, the
     per-round series and the ensemble. ``fork`` copies that state, so several
     runs can continue from one trained prefix; ``result`` reports the run.
-    ``step`` trains one round and ``run`` steps on until the end. A caller
-    may edit ``labels`` and ``weights`` in place between steps; as with a
-    callback's edits, the next step's gradients follow new labels only if
-    its callback reports a change.
+    ``step`` trains one round and ``run`` steps on until the end, calling
+    its callback between steps. A caller may edit ``labels`` and ``weights``
+    in place between steps, and the next step fits them: it recomputes the
+    gradients when the labels differ from those they were computed against.
 
     Training scores are a prediction cache: each tree adds its leaf values to
     the rows the grower put in each leaf, the same single addition per row
@@ -690,8 +689,7 @@ class Booster:
     """
 
     def __init__(self, dataset: Dataset, config: BoostConfig, *,
-                 test: Dataset | None = None, monitor=None,
-                 initial_weights: np.ndarray | None = None):
+                 test: Dataset | None = None, monitor=None):
         config.validate()
         n = len(dataset)
         c = dataset.class_count
@@ -705,11 +703,7 @@ class Booster:
             raise ValueError("features must be finite")
 
         self.labels = dataset.noisy_labels.astype(np.int64).copy()
-        self.weights = (np.ones(n) if initial_weights is None
-                        else np.asarray(initial_weights,
-                                        dtype=np.float64).copy())
-        if self.weights.shape != (n,):
-            raise ValueError("initial_weights must have one entry per instance")
+        self.weights = np.ones(n)
 
         self.ensemble = Ensemble(objective=self.objective, class_count=c,
                                  feature_count=features.shape[1])
@@ -729,8 +723,7 @@ class Booster:
                                      config.early_stop_patience)
                         if monitor is not None else None)
 
-        self.method, self.index = _split_index(
-            features, np.flatnonzero(self.weights > 0))
+        self.method, self.index = _split_index(features, np.arange(n))
 
         self.dynamics = DynamicsLog(n, c, config.history_window)
         self.series = {k: [] for k in SERIES_COLUMNS}
@@ -743,6 +736,7 @@ class Booster:
 
         self.probs = probabilities(self.raw)
         self.g, self.h = grad_hess(self.probs, self.labels)
+        self._grad_labels = self.labels.copy()
 
     @property
     def done(self) -> bool:
@@ -750,25 +744,30 @@ class Booster:
                 or self.rounds_trained == self.config.n_rounds)
 
     def run(self, callback=None, until: int | None = None) -> "Booster":
-        """Step until training ends, or until ``until`` rounds are trained."""
+        """Step until training ends, or until ``until`` rounds are trained,
+        calling ``callback(round, dynamics, labels, weights)`` before each
+        round past the warm-up (the contract is ``train``'s)."""
         while not self.done and (until is None or self.rounds_trained < until):
-            self.step(callback)
+            if (callback is not None
+                    and self.rounds_trained >= self.config.warmup_rounds):
+                callback(self.rounds_trained, self.dynamics, self.labels,
+                         self.weights)
+            self.step()
         return self
 
-    def step(self, callback=None) -> None:
+    def step(self) -> None:
         """Train the next round.
 
-        Invoke ``callback(round, dynamics, labels, weights)`` once the
-        warm-up has passed (the contract is ``train``'s), fit one tree per
-        class to the gradients of the current labels and weights, then record
-        the post-update state in the DynamicsLog and evaluate the round.
+        Fit one tree per class to the gradients of the current labels and
+        weights, then record the post-update state in the DynamicsLog and
+        evaluate the round.
         """
         if self.done:
             raise RuntimeError("training has finished")
         cfg, t = self.config, self.rounds_trained
-        if callback is not None and t >= cfg.warmup_rounds:
-            if callback(t, self.dynamics, self.labels, self.weights):
-                self.g, self.h = grad_hess(self.probs, self.labels)
+        if not np.array_equal(self.labels, self._grad_labels):
+            self.g, self.h = grad_hess(self.probs, self.labels)
+            self._grad_labels = self.labels.copy()
 
         fitted = self.weights > 0
         rows = np.flatnonzero(fitted)
@@ -851,8 +850,9 @@ class Booster:
         """A copy that trains on independently of this booster.
 
         Mutable state is copied. Read-only state is shared: the datasets, the
-        presort or Binner, the trees, the probabilities and gradients (each
-        round replaces them) and the recorded EpochRecords.
+        presort or Binner, the trees, the probabilities, gradients and the
+        labels they follow (each is replaced, never edited) and the recorded
+        EpochRecords.
         """
         other = copy.copy(self)
         for name in ("raw", "raw_test", "raw_mon", "labels", "weights"):
@@ -891,18 +891,17 @@ class Booster:
 
 
 def train(dataset: Dataset, config: BoostConfig, callback=None, *,
-          test: Dataset | None = None, monitor=None,
-          initial_weights: np.ndarray | None = None) -> TrainResult:
+          test: Dataset | None = None, monitor=None) -> TrainResult:
     """Boost for up to ``config.n_rounds`` rounds: a ``Booster`` run to the
     end.
 
     ``callback(round, dynamics, labels, weights)`` is invoked once per round
     after the warm-up. It may zero entries of ``weights`` or rewrite
     ``labels`` in place, naming rows by their position in ``dataset``; both
-    take effect in that round's tree fit. It returns whether it changed any
-    label, and the trainer then recomputes the gradients. The trainer never sees the noise mask: scoring the
-    callback's flags and corrections against the injected noise is left to
-    the caller (``experiment.run_group``).
+    take effect in that round's tree fit, and its return value is ignored.
+    The trainer never sees the noise mask: scoring the callback's flags and
+    corrections against the injected noise is left to the caller
+    (``experiment.run_group``).
 
     ``monitor`` selects early stopping: None disables it, "test" monitors the
     summed log-loss on the clean test set, and an (features, labels) pair
@@ -910,5 +909,5 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
     monitored round.
     """
     config.validate(with_callback=callback is not None)
-    return Booster(dataset, config, test=test, monitor=monitor,
-                   initial_weights=initial_weights).run(callback).result()
+    return Booster(dataset, config, test=test,
+                   monitor=monitor).run(callback).result()

@@ -5,60 +5,65 @@ from hypothesis import strategies as st
 
 from conftest import blob_dataset
 from noisygbdt import noise
-from noisygbdt.correct import (CorrectionState, NoiseHandler, apply_relabel,
-                               apply_removal)
+from noisygbdt.correct import NoiseHandler, apply_relabel, apply_removal
 from noisygbdt.detect import detection_report
 from noisygbdt.experiment import ExperimentConfig, run_cell
 from noisygbdt.gbdt import BoostConfig, train
 
 
-def make_state(n=10, mode="remove", budget=0.8, class_count=3):
+def make_handler(n=10, mode="remove", budget=0.8, class_count=3):
+    """A handler and the labels and weights it corrects."""
     labels = np.arange(n, dtype=np.int64) % class_count
-    return CorrectionState(mode=mode, labels=labels, weights=np.ones(n),
-                           removal_budget=budget)
+    return (NoiseHandler(detectors=("aum",), mode=mode,
+                         removal_budget=budget), labels, np.ones(n))
 
 
 class TestRemoval:
     def test_basic_removal(self):
-        state = make_state(10)
-        apply_removal(state, np.array([1, 4, 7]), np.zeros(10), round_index=0)
-        assert state.removed_count == 3
-        assert state.weights[[1, 4, 7]].sum() == 0.0
-        assert state.weights.sum() == 7.0
+        handler, labels, weights = make_handler(10)
+        apply_removal(handler, labels, weights, np.array([1, 4, 7]),
+                      np.zeros(10), round_index=0)
+        assert handler.removed.sum() == 3
+        assert weights[[1, 4, 7]].sum() == 0.0
+        assert weights.sum() == 7.0
 
     def test_idempotent_on_already_removed(self):
-        state = make_state(10)
-        apply_removal(state, np.array([2]), np.zeros(10), round_index=0)
-        apply_removal(state, np.array([2]), np.zeros(10), round_index=1)
-        assert state.removed_count == 1
-        remove_events = [e for e in state.events if e["action"] == "remove"]
+        handler, labels, weights = make_handler(10)
+        apply_removal(handler, labels, weights, np.array([2]), np.zeros(10),
+                      round_index=0)
+        apply_removal(handler, labels, weights, np.array([2]), np.zeros(10),
+                      round_index=1)
+        assert handler.removed.sum() == 1
+        remove_events = [e for e in handler.events if e["action"] == "remove"]
         assert len(remove_events) == 1
 
     def test_budget_caps_removal_with_event(self):
-        state = make_state(100, budget=0.8)
+        handler, labels, weights = make_handler(100, budget=0.8)
         flagged = np.arange(90)
-        apply_removal(state, flagged, np.zeros(100), round_index=3)
-        assert state.removed_count == 80
-        assert state.budget_hit_rounds == [3]
+        apply_removal(handler, labels, weights, flagged, np.zeros(100),
+                      round_index=3)
+        assert handler.removed.sum() == 80
+        assert handler.summary()["budget_hit_rounds"] == [3]
 
     def test_budget_prioritizes_most_suspicious(self):
-        state = make_state(10, budget=0.2)  # at most 2 removals
+        handler, labels, weights = make_handler(10, budget=0.2)  # 2 at most
         noisiness = np.array([0.1, 0.9, 0.2, 0.95, 0.3, 0, 0, 0, 0, 0])
-        apply_removal(state, np.array([0, 1, 2, 3, 4]), noisiness=noisiness,
-                      round_index=0)
-        assert set(np.flatnonzero(state.removed)) == {1, 3}
+        apply_removal(handler, labels, weights, np.array([0, 1, 2, 3, 4]),
+                      noisiness=noisiness, round_index=0)
+        assert set(np.flatnonzero(handler.removed)) == {1, 3}
 
     def test_budget_tie_breaks_by_id(self):
-        state = make_state(10, budget=0.2)
+        handler, labels, weights = make_handler(10, budget=0.2)
         noisiness = np.full(10, 0.5)
-        apply_removal(state, np.array([7, 3, 5]), noisiness=noisiness,
-                      round_index=0)
-        assert set(np.flatnonzero(state.removed)) == {3, 5}
+        apply_removal(handler, labels, weights, np.array([7, 3, 5]),
+                      noisiness=noisiness, round_index=0)
+        assert set(np.flatnonzero(handler.removed)) == {3, 5}
 
     def test_wrong_mode_rejected(self):
-        state = make_state(5, mode="relabel")
+        handler, labels, weights = make_handler(5, mode="relabel")
         with pytest.raises(ValueError):
-            apply_removal(state, np.array([0]), np.zeros(5))
+            apply_removal(handler, labels, weights, np.array([0]),
+                          np.zeros(5))
 
     @pytest.mark.properties
     @given(st.integers(min_value=0, max_value=2**31))
@@ -66,13 +71,13 @@ class TestRemoval:
     def test_weights_never_fall_below_budget_floor(self, seed):
         rng = np.random.default_rng(seed)
         n = 50
-        state = make_state(n, budget=0.8)
+        handler, labels, weights = make_handler(n, budget=0.8)
         for r in range(5):
             flagged = np.flatnonzero(rng.random(n) < 0.5)
-            apply_removal(state, flagged, noisiness=rng.random(n),
-                          round_index=r)
-        assert state.weights.sum() >= (1 - 0.8) * n
-        assert state.removed_count <= int(0.8 * n)
+            apply_removal(handler, labels, weights, flagged,
+                          noisiness=rng.random(n), round_index=r)
+        assert weights.sum() >= (1 - 0.8) * n
+        assert handler.removed.sum() <= int(0.8 * n)
 
 
 class TestRelabel:
@@ -80,31 +85,31 @@ class TestRelabel:
         return np.asarray(probs, dtype=np.float64)[None, :, :]
 
     def test_window_mean_argmax(self):
-        state = make_state(3, mode="relabel")
+        handler, labels, _ = make_handler(3, mode="relabel")
         w = np.stack([np.array([[0.1, 0.6, 0.3], [0.3, 0.3, 0.4], [1, 0, 0]]),
                       np.array([[0.3, 0.4, 0.3], [0.3, 0.3, 0.4], [1, 0, 0]])])
-        apply_relabel(state, np.array([0]), w, round_index=0)
-        assert state.labels[0] == 1  # mean [0.2, 0.5, 0.3]
-        assert state.relabeled[0]
+        apply_relabel(handler, labels, np.array([0]), w, round_index=0)
+        assert labels[0] == 1  # mean [0.2, 0.5, 0.3]
+        assert handler.relabeled[0]
 
     def test_once_only(self):
-        state = make_state(3, mode="relabel")
+        handler, labels, _ = make_handler(3, mode="relabel")
         w1 = self.window([[0.1, 0.9, 0.0]] * 3)
-        apply_relabel(state, np.array([0]), w1, round_index=0)
-        assert state.labels[0] == 1
+        apply_relabel(handler, labels, np.array([0]), w1, round_index=0)
+        assert labels[0] == 1
         w2 = self.window([[0.0, 0.0, 1.0]] * 3)
-        apply_relabel(state, np.array([0]), w2, round_index=1)
-        assert state.labels[0] == 1  # second flag ignored
-        assert state.relabeled_count == 1
+        apply_relabel(handler, labels, np.array([0]), w2, round_index=1)
+        assert labels[0] == 1  # second flag ignored
+        assert handler.relabeled.sum() == 1
 
     def test_fixed_point_still_marked(self):
-        state = make_state(3, mode="relabel")
-        current = int(state.labels[1])
+        handler, labels, _ = make_handler(3, mode="relabel")
+        current = int(labels[1])
         probs = np.zeros((1, 3, 3))
         probs[0, :, current] = 1.0
-        apply_relabel(state, np.array([1]), probs, round_index=0)
-        assert state.labels[1] == current
-        assert state.relabeled[1]
+        apply_relabel(handler, labels, np.array([1]), probs, round_index=0)
+        assert labels[1] == current
+        assert handler.relabeled[1]
 
     @pytest.mark.properties
     @given(st.integers(min_value=0, max_value=2**31))
@@ -112,34 +117,36 @@ class TestRelabel:
     def test_never_out_of_range(self, seed):
         rng = np.random.default_rng(seed)
         n, c = 30, 4
-        state = CorrectionState(mode="relabel",
-                                labels=rng.integers(0, c, n),
-                                weights=np.ones(n))
+        handler = NoiseHandler(detectors=("aum",), mode="relabel")
+        labels = rng.integers(0, c, n)
         raw = rng.random((3, n, c))
         window = raw / raw.sum(axis=2, keepdims=True)
         flagged = np.flatnonzero(rng.random(n) < 0.5)
-        apply_relabel(state, flagged, window, round_index=0)
-        assert state.labels.min() >= 0 and state.labels.max() < c
+        apply_relabel(handler, labels, flagged, window, round_index=0)
+        assert labels.min() >= 0 and labels.max() < c
 
     def test_empty_window_rejected(self):
-        state = make_state(3, mode="relabel")
+        handler, labels, _ = make_handler(3, mode="relabel")
         with pytest.raises(ValueError):
-            apply_relabel(state, np.array([0]), np.zeros((0, 3, 3)))
+            apply_relabel(handler, labels, np.array([0]), np.zeros((0, 3, 3)))
 
 
 class TestStateInvariants:
+    """The handler's correction state: its mode, budget and summary."""
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            make_state(mode="reweight")
+            make_handler(mode="reweight")
 
     def test_budget_range(self):
         with pytest.raises(ValueError):
-            make_state(budget=1.5)
+            make_handler(budget=1.5)
 
     def test_summary_fields(self):
-        state = make_state(10)
-        apply_removal(state, np.array([0, 1]), np.zeros(10), round_index=2)
-        s = state.summary()
+        handler, labels, weights = make_handler(10)
+        apply_removal(handler, labels, weights, np.array([0, 1]), np.zeros(10),
+                      round_index=2)
+        s = handler.summary()
         assert s["removed_total"] == 2
         assert s["mode"] == "remove"
 
@@ -164,7 +171,7 @@ class TestNoiseHandler:
         ds = self.noisy_blobs()
         handler = NoiseHandler(detectors=("aum",), mode="remove")
         train(ds, BoostConfig(n_rounds=20, warmup_rounds=15), handler)
-        assert handler.state.removed_count > 0
+        assert handler.removed.sum() > 0
         series, _, _, _ = detection_report(handler.flag_rounds, handler.events,
                                            ds.noise_mask, ds.instance_ids,
                                            best_round=19)
@@ -174,9 +181,9 @@ class TestNoiseHandler:
         ds = self.noisy_blobs()
         handler = NoiseHandler(detectors=("lrt",), mode="relabel")
         train(ds, BoostConfig(n_rounds=20, warmup_rounds=15), handler)
-        assert handler.state.relabeled_count > 0
+        assert handler.relabeled.sum() > 0
         # once-only: relabels never exceed the instance count
-        assert handler.state.relabeled_count <= len(ds)
+        assert handler.relabeled.sum() <= len(ds)
 
     def test_events_forwarded_to_report(self):
         ds = blob_dataset(n=300, classes=3, seed=1)

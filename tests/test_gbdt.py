@@ -578,7 +578,6 @@ class TestTrain:
 
         def callback(t, dynamics, labels, weights):
             calls.append((t, dynamics.rounds_recorded))
-            return False
 
         train(separable, BoostConfig(n_rounds=18, warmup_rounds=15), callback)
         # first invocation in the sixteenth boosting round, with fifteen
@@ -595,9 +594,10 @@ class TestTrain:
         ds = blob_dataset(n=180, classes=3, seed=4)
         rng = np.random.default_rng(1)
         drop = rng.random(len(ds)) < 0.25
-        weights = np.where(drop, 0.0, 1.0)
         cfg = BoostConfig(n_rounds=6, warmup_rounds=2)
-        res_w = train(ds, cfg, initial_weights=weights)
+        booster = Booster(ds, cfg)
+        booster.weights[drop] = 0.0
+        res_w = booster.run().result()
         res_d = train(ds.take(~drop), cfg)
         trees_w = [[t.to_dict() for t in r] for r in res_w.ensemble.rounds]
         trees_d = [[t.to_dict() for t in r] for r in res_d.ensemble.rounds]
@@ -678,11 +678,10 @@ class TestBooster:
     @pytest.mark.parametrize("classes", [2, 3])
     def test_cached_scores_equal_tree_predict_sums(self, method, classes,
                                                    monkeypatch):
-        # zero initial weights plus a removal each round: the cached training
-        # scores must equal summing Tree.predict over the ensemble, bit for bit
+        # weights zeroed before the first round plus a removal each round: the
+        # cached training scores must equal summing Tree.predict over the
+        # ensemble, bit for bit
         ds = blob_dataset(n=240, classes=classes, seed=5, separation=1.0)
-        weights = np.ones(len(ds))
-        weights[::9] = 0.0
         if method == "hist":
             monkeypatch.setattr(gbdt, "_HIST_THRESHOLD", 0)
             monkeypatch.setattr(gbdt, "_MAX_BINS", 16)
@@ -690,15 +689,34 @@ class TestBooster:
 
         def remove_some(t, dynamics, labels, w):
             w[(np.arange(len(w)) * 7 + t) % 23 == 0] = 0.0
-            return False
 
-        booster = Booster(ds, cfg, initial_weights=weights)
+        booster = Booster(ds, cfg)
+        booster.weights[::9] = 0.0
+        weights = booster.weights.copy()
         assert booster.method == method
         while not booster.done:
-            booster.step(remove_some)
+            booster.run(remove_some, until=booster.rounds_trained + 1)
             expected = booster.ensemble.raw_scores(ds.features)
             assert np.array_equal(booster.raw, expected)
         assert (booster.weights == 0).sum() > (weights == 0).sum()
+
+    def test_label_edit_between_steps_refits_gradients(self):
+        # labels flipped in place between two steps, with no callback: the
+        # next round's trees fit the new labels' gradients
+        ds = blob_dataset(n=200, classes=3, seed=3, separation=1.0)
+        cfg = BoostConfig(n_rounds=3, warmup_rounds=1)
+        booster = Booster(ds, cfg)
+        booster.step()
+        stale_g, stale_h = booster.g, booster.h
+        booster.labels[::5] = (booster.labels[::5] + 1) % 3
+        g, h = grad_hess(booster.probs, booster.labels)
+        booster.step()
+        for k, tree in enumerate(booster.ensemble.rounds[1]):
+            fresh = build_tree(ds.features, g[:, k], h[:, k],
+                               booster.weights, cfg)
+            stale = build_tree(ds.features, stale_g[:, k], stale_h[:, k],
+                               booster.weights, cfg)
+            assert tree.to_dict() == fresh.to_dict() != stale.to_dict()
 
     def test_final_metrics_read_off_the_best_round(self):
         train_ds, test_ds = _noisy_blobs()
