@@ -17,15 +17,17 @@ The fit size picks the split search, with no setting to override it: up to
 2,048 fitted rows it is exact greedy (columns presorted once per run, each
 node carrying its rows' sorted blocks, split from its parent's, and all
 features of a node searched in one vectorised pass), above that it uses
-histograms. Each feature gets one bin more than it has quantile cuts, at most
-256 bins, and its codes are stored once per run as a column-major ``uint8``
-row (``Binner``). A node histogram has one compact block per group of
-features of similar bin count; large nodes build it feature by feature, small
-ones in one flat pass, the larger child is its parent minus its sibling, and
-children at ``max_depth`` get their gradient and hessian sums alone
-(``_HistSplitter``). One recursive grower (``_TreeGrower.grow``) holds the
-stop rules for both searches; each splitter brings its own search, partition
-and node statistics.
+histograms. A feature with at most 256 distinct fitted values is cut at every
+value, a wider one at quantiles; either way it gets one bin more than it has
+cuts, and its codes are stored once per run as ``uint8``, column-major and
+row-major (``Binner``). A node histogram has one compact block per group of
+features of similar bin count. Large nodes build each quantile-binned feature
+with its own ``bincount`` and the distinct-value features together in one
+interleaved pass; small nodes build every feature in that pass. The larger
+child is its parent minus its sibling, and children at ``max_depth`` get
+their gradient and hessian sums alone (``_HistSplitter``). One recursive
+grower (``_TreeGrower.grow``) holds the stop rules for both searches; each
+splitter brings its own search, partition and node statistics.
 
 Two classes train one logistic tree per round, more classes one softmax tree
 per class. Raw scores, gradients and hessians are always (n, width) arrays,
@@ -48,8 +50,11 @@ from .metrics_report import (SERIES_COLUMNS, RunReport, classification_metrics,
 # histogram splits above this many fitted rows, exact splits up to it
 _HIST_THRESHOLD = 2048
 _MAX_BINS = 256
-# a histogram node of this many rows or more builds one bincount per feature
+# a histogram node of this many rows or more builds one bincount per
+# quantile-binned feature; smaller nodes build every feature interleaved
 _PER_FEATURE_ROWS = 2000
+# node rows per chunk of the interleaved build
+_CHUNK_ROWS = 4096
 _HESSIAN_FLOOR = 1e-16
 
 _PROB_EPS = 1e-15
@@ -298,29 +303,35 @@ class _ExactSplitter:
 
 
 class Binner:
-    """Per-feature quantile cut points fitted on ``fit_rows``, the bin codes
-    of every row, and the compact histogram layout.
+    """Per-feature cut points fitted on ``fit_rows``, the bin codes of every
+    row, and the compact histogram layout.
 
-    Feature j has ``len(cuts[j]) + 1`` bins, at most ``_MAX_BINS`` (256), so
-    its codes fit ``uint8``; ``codes_T`` holds them once per run,
-    column-major (d, n), so one feature's codes of a node are a contiguous
-    gather. A node histogram is one flat array of ``size`` bins with a block
-    per group of features whose bin counts round up to the same power of
-    two: ``blocks`` holds each block's (start, stop, width), a (k, width)
-    array of its features in ascending order, each padded with empty bins up
-    to ``width``. ``offsets[j]`` is where feature j's bins start.
-    ``cut_pos`` lists the position of every real split candidate (the last
-    bin of a feature is none) feature by feature, and ``cut_feature`` and
-    ``cut_bin`` name its feature and bin.
+    A feature with at most ``_MAX_BINS`` (256) distinct fitted values is cut
+    between each pair of them, a wider one at quantiles. Feature j has
+    ``len(cuts[j]) + 1`` bins, at most 256, so its codes fit ``uint8``.
+    ``codes_T`` holds them column-major (d, n), so one feature's codes of a
+    node are a contiguous gather; ``codes`` holds them row-major (n, d) with
+    the ``n_distinct`` distinct-value features first, so a row's codes of
+    those features are one slice, and ``order`` lists the features in
+    ``codes``' column order. A node histogram is one flat array of ``size``
+    bins with a block per group of features whose bin counts round up to the
+    same power of two: ``blocks`` holds each block's (start, stop, width),
+    a (k, width) array of its features in ascending order, each padded with
+    empty bins up to ``width``. ``offsets[j]`` is where feature j's bins
+    start. ``cut_pos`` lists the position of every real split candidate (the
+    last bin of a feature is none) feature by feature, and ``cut_feature``
+    and ``cut_bin`` name its feature and bin.
     """
 
     def __init__(self, features: np.ndarray, fit_rows: np.ndarray):
         n, d = features.shape
         sample = features[fit_rows]
         self.cuts: list[np.ndarray] = []
+        distinct = np.zeros(d, dtype=bool)
         for j in range(d):
             uniq = np.unique(sample[:, j])
-            if len(uniq) <= _MAX_BINS:
+            distinct[j] = len(uniq) <= _MAX_BINS
+            if distinct[j]:
                 cuts = np.array([_midpoint(float(a), float(b))
                                  for a, b in zip(uniq[:-1], uniq[1:])])
             else:
@@ -350,19 +361,28 @@ class Binner:
         self.cut_pos = self.offsets[self.cut_feature] + self.cut_bin
         # node totals sum feature 0's padded row of its block
         self.totals_row = slice(self.offsets[0], self.offsets[0] + widths[0])
+        self.order = np.argsort(~distinct, kind="stable")
+        self.n_distinct = int(distinct.sum())
+        self.codes = np.ascontiguousarray(self.codes_T[self.order].T)
 
 
 class _HistSplitter:
     """Histogram split search on a Binner's codes and layout.
 
-    A node of at least ``_PER_FEATURE_ROWS`` rows builds each feature's
-    histogram with its own ``bincount`` over its contiguous codes; a smaller
-    node builds all of them in one flat ``bincount``. Either way each bin sums
-    its rows' weights in row order. The search runs one cumsum per block and
-    one argmax over the real cuts in (feature, bin) order, so the first of
-    equal gains wins as in a row-major argmax over every feature's bins. Node
-    totals are the sums of feature 0's row. Children at ``max_depth`` are
-    leaves, so they get those totals alone (``child_stats``).
+    A node of at least ``_PER_FEATURE_ROWS`` rows builds each quantile-binned
+    feature's histogram with its own ``bincount`` over its contiguous codes.
+    Its distinct-value features, and every feature of a smaller node, go
+    through one interleaved pass: per chunk of ``_CHUNK_ROWS`` node rows, one
+    ``np.add.at`` over the row-major codes, so consecutive adds land in
+    different features' bins. A distinct-value feature often has most rows
+    in one bin, which serialises a ``bincount`` on that bin; interleaving
+    keeps adds to one bin apart. Either way each bin sums its rows' weights
+    in row order from 0.0, so both builds give the same histograms to the
+    bit. The search runs one cumsum per block and one argmax over the real
+    cuts in (feature, bin) order, so the first of equal gains wins as in a
+    row-major argmax over every feature's bins. Node totals are the sums of
+    feature 0's row. Children at ``max_depth`` are leaves, so they get those
+    totals alone (``child_stats``).
     """
 
     def __init__(self, binner: Binner, config: BoostConfig):
@@ -372,17 +392,23 @@ class _HistSplitter:
     def node_hists(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
         b = self.b
         gr, hr = g[rows], h[rows]
-        if len(rows) >= _PER_FEATURE_ROWS:
-            gh, hh = np.zeros(b.size), np.zeros(b.size)
-            for codes, lo, nb in zip(b.codes_T, b.offsets, b.n_bins):
-                node_codes = codes[rows]
-                gh[lo:lo + nb] = np.bincount(node_codes, gr, minlength=nb)
-                hh[lo:lo + nb] = np.bincount(node_codes, hr, minlength=nb)
-            return gh, hh
-        d = len(b.codes_T)
-        flat = (b.codes_T[:, rows] + b.offsets[:, None]).ravel()
-        return (np.bincount(flat, np.tile(gr, d), minlength=b.size),
-                np.bincount(flat, np.tile(hr, d), minlength=b.size))
+        gh, hh = np.zeros(b.size), np.zeros(b.size)
+        # the first k features of the row-major codes go interleaved
+        k = b.n_distinct if len(rows) >= _PER_FEATURE_ROWS else len(b.order)
+        for j in b.order[k:]:
+            node_codes = b.codes_T[j][rows]
+            lo, nb = b.offsets[j], b.n_bins[j]
+            gh[lo:lo + nb] = np.bincount(node_codes, gr, minlength=nb)
+            hh[lo:lo + nb] = np.bincount(node_codes, hr, minlength=nb)
+        if k:
+            offsets = b.offsets[b.order[:k]]
+            for lo in range(0, len(rows), _CHUNK_ROWS):
+                hi = lo + _CHUNK_ROWS
+                flat = np.add(b.codes[rows[lo:hi], :k], offsets,
+                              dtype=np.intp).ravel()
+                np.add.at(gh, flat, np.repeat(gr[lo:hi], k))
+                np.add.at(hh, flat, np.repeat(hr[lo:hi], k))
+        return gh, hh
 
     def best_split(self, hists, g_total: float, h_total: float):
         b = self.b

@@ -428,10 +428,12 @@ class TestHistSplitterOracle:
         rows = np.flatnonzero(w > 0)
         return x, g * w, h * w, rows
 
+    @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
     @pytest.mark.parametrize("crossover", [0, 10**9])
-    def test_matches_stride_256_build_and_search(self, crossover,
+    def test_matches_stride_256_build_and_search(self, crossover, chunk,
                                                  monkeypatch):
         monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
+        monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
         ties = splits = 0
         for seed in range(60):
             x, g, h, rows = self._case(seed)
@@ -504,19 +506,46 @@ class TestHistSplitterOracle:
         tree, leaf_of_row = _fit_tree(x, g, h, rows, cfg, Binner(x, rows))
         return tree.to_dict(), leaf_of_row.tolist()
 
-    def test_crossover_does_not_change_the_tree(self, monkeypatch):
-        # nodes from several thousand rows down to a few: per feature, flat,
-        # and the default mix of both give one tree
+    @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
+    def test_crossover_does_not_change_the_tree(self, chunk, monkeypatch):
+        # nodes from several thousand rows down to a few: quantile features
+        # per feature or interleaved, in chunks of any size, give one tree
         x, g, h, rows = self._case(3)
         x, g, h = np.vstack([x] * 3), np.tile(g, 3), np.tile(h, 3)
         rows = np.flatnonzero(h > 0)
         assert len(rows) > 2 * gbdt._PER_FEATURE_ROWS
         cfg = BoostConfig(max_depth=7)
         default = self._tree(x, g, h, rows, cfg)
+        monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
+        assert self._tree(x, g, h, rows, cfg) == default
         for crossover in (0, 10**9):
             monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
             assert self._tree(x, g, h, rows, cfg) == default
         assert len(default[0]["feature"]) > 31
+
+    def test_distinct_value_boundary_matches_reference(self):
+        # 256 distinct fitted values are cut at every value and built
+        # interleaved, 257 are cut at quantiles and built per feature; a
+        # one-hot column puts nearly every row in one bin
+        rng = np.random.default_rng(11)
+        n = 6000
+        w = np.where(rng.random(n) < 0.2, 0.0, 1.0)
+        rows = np.flatnonzero(w > 0)
+        x = np.zeros((n, 3))
+        for j, n_values in enumerate((256, 257)):
+            x[rows, j] = rng.permutation(np.arange(len(rows)) % n_values)
+            x[w == 0, j] = rng.integers(0, n_values, size=n - len(rows))
+        x[:, 2] = rng.random(n) < 0.03
+        g, h = rng.normal(size=n) * w, (rng.random(n) + 0.05) * w
+        binner = Binner(x, rows)
+        assert [len(np.unique(x[rows, j])) for j in (0, 1)] == [256, 257]
+        assert binner.order.tolist() == [0, 2, 1] and binner.n_distinct == 2
+        assert gbdt._PER_FEATURE_ROWS <= len(rows)
+        assert len(rows) > gbdt._CHUNK_ROWS
+        gh, hh = _HistSplitter(binner, BoostConfig()).node_hists(rows, g, h)
+        ref_g, ref_h = _reference_hists(binner, rows, g, h)
+        assert np.array_equal(_spread(binner, gh), ref_g)
+        assert np.array_equal(_spread(binner, hh), ref_h)
 
     def test_leaf_children_sums_equal_full_child_stats(self, monkeypatch):
         x, g, h, rows = self._case(4)
