@@ -2,7 +2,7 @@
 injection, per-instance noise detection, and in-training correction."""
 
 from .data_ingest import Dataset, SplitSpec, load_csv, preprocess, prepare
-from .noise import (NoiseSpec, TransitionMatrix, inject, pair_matrix,
+from .noise import (TransitionMatrix, inject, matrix_for, pair_matrix,
                     symmetric_matrix)
 from .gbdt import (BoostConfig, Booster, Ensemble, Tree, TrainResult,
                    build_tree, grad_hess, probabilities, train)
@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BoostConfig", "Booster", "ClassificationMetrics", "Dataset",
     "DynamicsLog", "Ensemble", "EpochRecord",
-    "Gmm1D", "NoiseHandler", "NoiseScores", "NoiseSpec", "RunReport",
+    "Gmm1D", "NoiseHandler", "NoiseScores", "RunReport",
     "SplitSpec", "TrainResult", "TransitionMatrix", "Tree", "apply_relabel",
     "apply_removal", "aum_scores", "build_tree", "classification_metrics",
     "confcorr_scores", "detection_metrics", "fit_gmm_1d", "grad_hess",
-    "gradient_scores", "inject", "load_csv", "lrt_scores", "pair_matrix",
-    "prediction_type_counts", "prepare", "preprocess", "probabilities",
-    "symmetric_matrix", "train", "write_report",
+    "gradient_scores", "inject", "load_csv", "lrt_scores", "matrix_for",
+    "pair_matrix", "prediction_type_counts", "prepare", "preprocess",
+    "probabilities", "symmetric_matrix", "train", "write_report",
 ]

@@ -1,16 +1,20 @@
-"""CSV loading, preprocessing, and stratified splitting for tabular classification.
+"""CSV loading, preprocessing, and stratified sampling for tabular classification.
 
-The pipeline is: load a comma-separated file into a :class:`RawTable` with
-inferred column kinds, then ``prepare`` it: the stratified train/test split
-is drawn first, and ``preprocess`` turns the table into a dense numeric
+The pipeline is: load a comma-separated file into a :class:`RawTable`, one
+column at a time, with each column's kind inferred from one cast of its
+present cells; then ``prepare`` it: the stratified train/test split is drawn
+first, and ``preprocess`` turns the table into a dense numeric
 :class:`Dataset` (median/mode imputation, standardization, one-hot encoding,
 contiguous label encoding) with its statistics fit on the training rows only,
-so the test partition never leaks into them.
+so the test partition never leaks into them. Every stratified draw (the test
+split, a row subsample, a validation holdout) goes through
+``stratified_mask``.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,12 +36,6 @@ class Column:
     kind: str
     values: np.ndarray
 
-    @property
-    def n_missing(self) -> int:
-        if self.kind == "numeric":
-            return int(np.isnan(self.values).sum())
-        return int(sum(v is None for v in self.values))
-
 
 @dataclass
 class RawTable:
@@ -55,29 +53,31 @@ class RawTable:
 class Dataset:
     """Preprocessed dataset: dense features plus clean/noisy label bookkeeping.
 
-    ``noise_mask[i]`` is true exactly when ``clean_labels[i] != noisy_labels[i]``;
-    instance ids are stable across splits and subsampling.
+    The noise mask is derived, never stored: ``noise_mask[i]`` is true exactly
+    when ``clean_labels[i] != noisy_labels[i]``. Instance ids are stable
+    across splits and subsampling.
     """
 
     features: np.ndarray        # (n, d) float64, no missing entries
     clean_labels: np.ndarray    # (n,) int64 in [0, class_count)
     noisy_labels: np.ndarray    # (n,) int64 in [0, class_count)
-    noise_mask: np.ndarray      # (n,) bool
     class_count: int
     instance_ids: np.ndarray    # (n,) int64, unique
     feature_names: list[str] = field(default_factory=list)
     label_names: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def noise_mask(self) -> np.ndarray:
+        """(n,) bool: the rows whose noisy label differs from the clean one."""
+        return self.clean_labels != self.noisy_labels
 
     def validate(self) -> None:
         n = len(self)
         if self.clean_labels.shape != (n,) or self.noisy_labels.shape != (n,):
             raise DataIngestError("label arrays must match the feature row count")
-        if self.noise_mask.shape != (n,):
-            raise DataIngestError("noise_mask must match the feature row count")
         if self.instance_ids.shape != (n,):
             raise DataIngestError("instance_ids must match the feature row count")
         if len(np.unique(self.instance_ids)) != n:
@@ -85,44 +85,25 @@ class Dataset:
         for arr in (self.clean_labels, self.noisy_labels):
             if n and (arr.min() < 0 or arr.max() >= self.class_count):
                 raise DataIngestError("labels must lie in [0, class_count)")
-        if not np.array_equal(self.noise_mask, self.clean_labels != self.noisy_labels):
-            raise DataIngestError("noise_mask inconsistent with label arrays")
         if not np.isfinite(self.features).all():
             raise DataIngestError("features contain missing or non-finite entries")
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """Row subset preserving ids and label bookkeeping."""
-        return Dataset(
-            features=self.features[rows],
+        return dataclasses.replace(
+            self, features=self.features[rows],
             clean_labels=self.clean_labels[rows],
             noisy_labels=self.noisy_labels[rows],
-            noise_mask=self.noise_mask[rows],
-            class_count=self.class_count,
-            instance_ids=self.instance_ids[rows],
-            feature_names=self.feature_names,
-            label_names=self.label_names,
-            notes=list(self.notes),
-        )
+            instance_ids=self.instance_ids[rows])
 
     def with_noise(self, noisy_labels: np.ndarray) -> "Dataset":
-        """Copy with new noisy labels; the mask is recomputed."""
+        """Copy with new noisy labels."""
         noisy = np.asarray(noisy_labels, dtype=np.int64)
         if noisy.shape != self.clean_labels.shape:
             raise DataIngestError("noisy label array has the wrong shape")
         if len(noisy) and (noisy.min() < 0 or noisy.max() >= self.class_count):
             raise DataIngestError("noisy labels out of range")
-        out = Dataset(
-            features=self.features,
-            clean_labels=self.clean_labels,
-            noisy_labels=noisy,
-            noise_mask=self.clean_labels != noisy,
-            class_count=self.class_count,
-            instance_ids=self.instance_ids,
-            feature_names=self.feature_names,
-            label_names=self.label_names,
-            notes=list(self.notes),
-        )
-        return out
+        return dataclasses.replace(self, noisy_labels=noisy)
 
 
 @dataclass(frozen=True)
@@ -139,8 +120,8 @@ def load_csv(path) -> RawTable:
     """Read a comma-separated file with a header row into a RawTable.
 
     Cells in ``DEFAULT_MISSING_MARKERS`` are missing. A column is inferred
-    numeric when every non-missing cell parses as a real number, categorical
-    otherwise.
+    numeric when at least one cell is present and every present cell parses
+    as a real number (Python's ``float``), categorical otherwise.
     """
     try:
         with open(path, "r", newline="") as fh:
@@ -162,53 +143,49 @@ def load_csv(path) -> RawTable:
                 f"{path}: ragged row {i + 2} has {len(row)} cells, expected {width}")
 
     columns = []
-    for j, name in enumerate(header):
-        raw = [body[i][j].strip() for i in range(len(body))]
-        missing = [v in DEFAULT_MISSING_MARKERS for v in raw]
-        kind = "numeric"
-        for v, m in zip(raw, missing):
-            if m:
-                continue
-            try:
-                float(v)
-            except ValueError:
-                kind = "categorical"
-                break
-        if all(missing):
-            kind = "categorical"
-        if kind == "numeric":
-            vals = np.full(len(raw), np.nan)
-            for i, (v, m) in enumerate(zip(raw, missing)):
-                if not m:
-                    vals[i] = float(v)
+    for name, cells in zip(header, zip(*body)):
+        raw = np.array([c.strip() for c in cells], dtype=object)
+        present = ~np.isin(raw, DEFAULT_MISSING_MARKERS)
+        try:
+            # an object-to-float cast calls float() on every cell
+            parsed = raw[present].astype(np.float64)
+            numeric = parsed.size > 0
+        except ValueError:
+            numeric = False
+        if numeric:
+            values = np.full(len(raw), np.nan)
+            values[present] = parsed
         else:
-            vals = np.array([None if m else v for v, m in zip(raw, missing)],
-                            dtype=object)
-        columns.append(Column(name=name, kind=kind, values=vals))
+            values = np.where(present, raw, None)
+        columns.append(Column(name, "numeric" if numeric else "categorical", values))
     return RawTable(columns=columns, n_rows=len(body))
 
 
-def _label_tokens(column: Column) -> list[str]:
-    """Textual class tokens of a label column; numeric labels must be integral."""
-    if column.kind == "categorical":
-        if any(v is None for v in column.values):
-            raise DataIngestError(f"label column {column.name!r} has missing values")
-        return [str(v) for v in column.values]
-    vals = column.values
-    if np.isnan(vals).any():
+def _factorize(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The sorted distinct values and each value's index among them, in one
+    hash pass (``np.unique`` would sort every row by Python comparisons)."""
+    distinct = sorted(set(values))
+    index = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+
+
+def _encode_labels(column: Column) -> tuple[np.ndarray, list[str]]:
+    """Codes 0..c-1 of a label column in sorted order of its textual class
+    tokens, and the tokens; numeric labels must be integers."""
+    tokens = column.values
+    categorical = column.kind == "categorical"
+    if (np.equal(tokens, None) if categorical else np.isnan(tokens)).any():
         raise DataIngestError(f"label column {column.name!r} has missing values")
-    if not np.allclose(vals, np.round(vals)):
-        raise DataIngestError(
-            f"label column {column.name!r} must be categorical or integer-coded")
-    return [str(int(round(v))) for v in vals]
-
-
-def _encode_labels(tokens: list[str]) -> tuple[np.ndarray, list[str]]:
-    classes = sorted(set(tokens))
+    if not categorical:
+        if not (np.isfinite(tokens) & (tokens == np.round(tokens))).all():
+            raise DataIngestError(
+                f"label column {column.name!r} must be categorical or integer-coded")
+        values, codes = _factorize(tokens)
+        tokens = np.array([str(int(v)) for v in values], dtype=object)[codes]
+    classes, labels = _factorize(tokens)
     if len(classes) < 2:
         raise DataIngestError("label column has a single class")
-    index = {c: i for i, c in enumerate(classes)}
-    return np.array([index[t] for t in tokens], dtype=np.int64), classes
+    return labels, [str(c) for c in classes]
 
 
 def preprocess(table: RawTable, label_column: str, *,
@@ -219,63 +196,57 @@ def preprocess(table: RawTable, label_column: str, *,
     population std 1. Categorical columns: impute the mode (ties broken
     lexicographically), then one-hot encode with the full indicator set.
     Labels are mapped to 0..c-1 in lexicographic order of their original
-    values. All statistics are computed on ``fit_rows`` when given (the
-    training portion) and applied everywhere else.
+    values. All statistics are computed on the rows of ``fit_rows``, a
+    boolean mask of the table's rows (the training portion), when given and
+    applied everywhere else.
     """
-    label_col = table.column(label_column)
-    labels, label_names = _encode_labels(_label_tokens(label_col))
+    labels, label_names = _encode_labels(table.column(label_column))
     n = table.n_rows
 
     if fit_rows is None:
         fit_mask = np.ones(n, dtype=bool)
     else:
-        fit_rows = np.asarray(fit_rows)
-        fit_mask = fit_rows if fit_rows.dtype == bool else np.isin(np.arange(n), fit_rows)
+        fit_mask = np.asarray(fit_rows)
+        if fit_mask.dtype != bool or fit_mask.shape != (n,):
+            raise DataIngestError("fit_rows must be a boolean mask of the table's rows")
         if not fit_mask.any():
             raise DataIngestError("fit_rows selects no rows")
 
     blocks: list[np.ndarray] = []
     names: list[str] = []
-    notes: list[str] = []
     for col in table.columns:
         if col.name == label_column:
             continue
         if col.kind == "numeric":
-            vals = col.values.astype(np.float64).copy()
-            fit_vals = vals[fit_mask]
-            finite = fit_vals[~np.isnan(fit_vals)]
+            vals = col.values.astype(np.float64)
+            finite = vals[fit_mask & ~np.isnan(vals)]
             if finite.size == 0:
                 median = 0.0
-                notes.append(f"column {col.name!r}: no observed values to fit, filled 0")
+                warnings.warn(f"column {col.name!r}: no observed values to fit, filled 0")
             else:
                 median = float(np.median(finite))
             vals[np.isnan(vals)] = median
             mean = float(vals[fit_mask].mean())
             std = float(vals[fit_mask].std())  # population std
             if std == 0.0:
-                msg = f"column {col.name!r} is constant on the fit rows; standardized to zeros"
-                warnings.warn(msg)
-                notes.append(msg)
+                warnings.warn(f"column {col.name!r} is constant on the fit rows; "
+                              "standardized to zeros")
                 vals = np.zeros_like(vals)
             else:
                 vals = (vals - mean) / std
             blocks.append(vals[:, None])
             names.append(col.name)
         else:
-            observed = [v for v in col.values[fit_mask] if v is not None]
-            if not observed:
+            present = ~np.equal(col.values, None)
+            categories, observed = _factorize(col.values[present])
+            codes = np.full(n, -1)
+            codes[present] = observed
+            counts = np.bincount(codes[fit_mask & present], minlength=len(categories))
+            if not counts.any():
                 raise DataIngestError(f"categorical column {col.name!r} has no observed values")
-            counts: dict[str, int] = {}
-            for v in observed:
-                counts[v] = counts.get(v, 0) + 1
-            top = max(counts.values())
-            mode = sorted(v for v, c in counts.items() if c == top)[0]
-            filled = np.array([mode if v is None else v for v in col.values], dtype=object)
-            categories = sorted({str(v) for v in col.values if v is not None} | {mode})
+            codes[~present] = counts.argmax()  # the first most frequent, in sorted order
             onehot = np.zeros((n, len(categories)))
-            cat_index = {c: k for k, c in enumerate(categories)}
-            for i, v in enumerate(filled):
-                onehot[i, cat_index[str(v)]] = 1.0
+            onehot[np.arange(n), codes] = 1.0
             blocks.append(onehot)
             names.extend(f"{col.name}={c}" for c in categories)
     if not blocks:
@@ -286,31 +257,23 @@ def preprocess(table: RawTable, label_column: str, *,
         features=features,
         clean_labels=labels,
         noisy_labels=labels.copy(),
-        noise_mask=np.zeros(n, dtype=bool),
         class_count=len(label_names),
         instance_ids=np.arange(n, dtype=np.int64),
         feature_names=names,
         label_names=label_names,
-        notes=notes,
     )
     ds.validate()
     return ds
 
 
-def _stratified_test_mask(labels: np.ndarray, class_count: int,
-                          spec: SplitSpec) -> np.ndarray:
-    """Boolean mask of test rows; deterministic for a given seed."""
-    rng = np.random.default_rng(spec.seed)
+def stratified_mask(labels: np.ndarray, counts: np.ndarray,
+                    seed: int) -> np.ndarray:
+    """Boolean mask of ``counts[c]`` rows of each class ``c``, drawn in class
+    order from one generator; deterministic for a given seed."""
+    rng = np.random.default_rng(seed)
     mask = np.zeros(len(labels), dtype=bool)
-    for cls in range(class_count):
-        idx = np.flatnonzero(labels == cls)
-        if len(idx) < 2:
-            raise DataIngestError(
-                f"class {cls} has {len(idx)} instance(s); stratified split needs at least 2")
-        n_test = int(round(spec.test_fraction * len(idx)))
-        n_test = min(max(n_test, 0), len(idx) - 1)
-        chosen = rng.permutation(idx)[:n_test]
-        mask[chosen] = True
+    for cls, k in enumerate(counts):
+        mask[rng.permutation(np.flatnonzero(labels == cls))[:int(k)]] = True
     return mask
 
 
@@ -319,8 +282,14 @@ def prepare(table: RawTable, label_column: str,
     """Disjoint, exhaustive train/test partition stratified by label, with
     split-aware preprocessing: the split is decided first, statistics are fit
     on the training rows only, then both partitions are materialized."""
-    labels, _ = _encode_labels(_label_tokens(table.column(label_column)))
-    test_mask = _stratified_test_mask(labels, int(labels.max()) + 1, spec)
+    labels, _ = _encode_labels(table.column(label_column))
+    sizes = np.bincount(labels)
+    if (sizes < 2).any():
+        cls = int(np.argmax(sizes < 2))
+        raise DataIngestError(
+            f"class {cls} has {sizes[cls]} instance(s); stratified split needs at least 2")
+    counts = np.clip(np.round(spec.test_fraction * sizes), 0, sizes - 1)
+    test_mask = stratified_mask(labels, counts, spec.seed)
     dataset = preprocess(table, label_column, fit_rows=~test_mask)
     return dataset.take(~test_mask), dataset.take(test_mask)
 
@@ -330,16 +299,10 @@ def subsample_table(table: RawTable, label_column: str, n: int,
     """Stratified row subsample of a raw table, by label token."""
     if n >= table.n_rows:
         return table
-    tokens = _label_tokens(table.column(label_column))
-    classes = sorted(set(tokens))
-    token_arr = np.array(tokens)
-    rng = np.random.default_rng(seed)
-    keep: list[np.ndarray] = []
-    for cls in classes:
-        idx = np.flatnonzero(token_arr == cls)
-        k = max(1, int(round(n * len(idx) / table.n_rows)))
-        keep.append(rng.permutation(idx)[:k])
-    rows = np.sort(np.concatenate(keep))
+    labels, _ = _encode_labels(table.column(label_column))
+    sizes = np.bincount(labels)
+    counts = np.maximum(1, np.round(n * sizes / table.n_rows))
+    rows = np.flatnonzero(stratified_mask(labels, counts, seed))
     columns = [Column(name=c.name, kind=c.kind, values=c.values[rows])
                for c in table.columns]
     return RawTable(columns=columns, n_rows=len(rows))

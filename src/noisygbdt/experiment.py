@@ -29,7 +29,8 @@ import yaml
 
 from . import datasets, detect, noise
 from .correct import DEFAULT_REMOVAL_BUDGET, NoiseHandler
-from .data_ingest import SplitSpec, load_csv, prepare, subsample_table
+from .data_ingest import (SplitSpec, load_csv, prepare, stratified_mask,
+                          subsample_table)
 from .gbdt import Booster, BoostConfig
 from .metrics_report import (RunReport, load_report, write_tables_csv,
                              write_report)
@@ -95,6 +96,8 @@ class ExperimentConfig:
             raise ExperimentError("noisy_val_fraction must lie in (0, 0.5)")
         if self.trials < 1:
             raise ExperimentError("trials must be at least 1")
+        if self.subsample is not None and self.subsample < 1:
+            raise ExperimentError("subsample must be at least 1")
         if not datasets.is_builtin(self.dataset) and self.label_column is None:
             raise ExperimentError("csv datasets need label_column")
 
@@ -197,16 +200,11 @@ def prepare_data(cfg: ExperimentConfig, trial_seed: int):
 
 
 def _carve_validation(train_ds, fraction: float, seed: int):
-    """Stratified noisy-label holdout carved from the training split."""
-    rng = np.random.default_rng(seed)
-    n = len(train_ds)
-    val_mask = np.zeros(n, dtype=bool)
-    for cls in range(train_ds.class_count):
-        idx = np.flatnonzero(train_ds.noisy_labels == cls)
-        if len(idx) < 2:
-            continue
-        k = max(1, int(round(fraction * len(idx))))
-        val_mask[rng.permutation(idx)[:k]] = True
+    """Stratified noisy-label holdout carved from the training split; a
+    class with fewer than 2 rows gives none."""
+    sizes = np.bincount(train_ds.noisy_labels, minlength=train_ds.class_count)
+    counts = np.where(sizes < 2, 0, np.maximum(1, np.round(fraction * sizes)))
+    val_mask = stratified_mask(train_ds.noisy_labels, counts, seed)
     return train_ds.take(~val_mask), train_ds.take(val_mask)
 
 
@@ -219,9 +217,7 @@ def _noisy_fit_set(cfg: ExperimentConfig, train_ds, kind: str, rate: float,
     """The noisy set a grid point fits, its early-stopping monitor and its
     noise seed. All depend only on (trial_seed, kind, rate)."""
     noise_seed = derive_seed(trial_seed, "noise", kind, rate)
-    matrix = noise.matrix_for(noise.NoiseSpec(kind=kind, rate=rate,
-                                              seed=noise_seed),
-                              train_ds.class_count)
+    matrix = noise.matrix_for(kind, rate, train_ds.class_count)
     noisy_labels, _ = noise.inject(train_ds.clean_labels, matrix, noise_seed)
     fit_ds = train_ds.with_noise(noisy_labels)
     monitor = None

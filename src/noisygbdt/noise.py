@@ -22,19 +22,6 @@ class NoiseError(ValueError):
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    kind: str       # "symmetric" | "pair"
-    rate: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise NoiseError(f"unknown noise kind {self.kind!r}")
-        if not (0.0 <= self.rate <= 1.0):
-            raise NoiseError(f"noise rate {self.rate} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic c x c matrix; entry (i, j) is p(observed=j | true=i)."""
 
@@ -77,10 +64,13 @@ def pair_matrix(class_count: int, rate: float) -> TransitionMatrix:
     return TransitionMatrix(entries=s, class_count=c)
 
 
-def matrix_for(spec: NoiseSpec, class_count: int) -> TransitionMatrix:
-    if spec.kind == "symmetric":
-        return symmetric_matrix(class_count, spec.rate)
-    return pair_matrix(class_count, spec.rate)
+def matrix_for(kind: str, rate: float, class_count: int) -> TransitionMatrix:
+    """The transition matrix of a noise kind (one of ``NOISE_KINDS``)."""
+    if kind == "symmetric":
+        return symmetric_matrix(class_count, rate)
+    if kind == "pair":
+        return pair_matrix(class_count, rate)
+    raise NoiseError(f"unknown noise kind {kind!r}")
 
 
 def inject(labels: np.ndarray, matrix: TransitionMatrix,

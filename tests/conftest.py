@@ -11,8 +11,7 @@ def make_dataset(features, clean_labels, noisy_labels=None,
         noisy_labels, dtype=np.int64)
     c = int(clean.max()) + 1 if class_count is None else class_count
     ds = Dataset(features=np.asarray(features, dtype=np.float64),
-                 clean_labels=clean, noisy_labels=noisy,
-                 noise_mask=clean != noisy, class_count=c,
+                 clean_labels=clean, noisy_labels=noisy, class_count=c,
                  instance_ids=np.arange(len(clean), dtype=np.int64))
     ds.validate()
     return ds

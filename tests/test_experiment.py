@@ -79,6 +79,9 @@ class TestConfig:
         ({"subsample": True}, r"^config key 'subsample' must be int \| None"),
         ({"boost": {"learning_rate": True}}, "^config key 'boost.learning_rate'"),
         ({"label_column": 3}, "^config key 'label_column' must be str"),
+        # caught here rather than by the stratified split in every group
+        ({"subsample": 0}, "^subsample must be at least 1$"),
+        ({"subsample": -5}, "^subsample must be at least 1$"),
     ])
     def test_cell_errors_caught_at_load(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -219,9 +222,7 @@ class TestStages:
         reports = run_stage2(cfg)
         train_ds, _ = prepare_data(cfg, cfg.seed)
         noise_seed = reports[0].config["noise_seed"]
-        matrix = noise.matrix_for(noise.NoiseSpec(kind="pair", rate=0.3,
-                                                  seed=noise_seed),
-                                  train_ds.class_count)
+        matrix = noise.matrix_for("pair", 0.3, train_ds.class_count)
         noisy, _ = noise.inject(train_ds.clean_labels, matrix, noise_seed)
         mask = noisy != train_ds.clean_labels
         row_of = {int(i): p for p, i in enumerate(train_ds.instance_ids)}
@@ -679,7 +680,8 @@ class TestCli:
 
     @pytest.mark.parametrize("overrides", [
         {"boost": {"n_round": 10}}, {"split": {"test_frac": 0.3}},
-        {"boost": 5}, {"noise_rates": 0.3}, {"boost": {"n_rounds": "30"}}])
+        {"boost": 5}, {"noise_rates": 0.3}, {"boost": {"n_rounds": "30"}},
+        {"subsample": 0}])
     def test_print_config_rejects_bad_sections(self, tmp_path, overrides):
         cfg = self.write_cfg(tmp_path, **overrides)
         proc = run_cli(["run", "--config", str(cfg), "--print-config"])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisygbdt.noise import (NoiseError, NoiseSpec, inject, pair_matrix,
+from noisygbdt.experiment import ExperimentError, config_from_dict
+from noisygbdt.noise import (NoiseError, inject, matrix_for, pair_matrix,
                              symmetric_matrix)
 
 
@@ -132,16 +133,22 @@ class TestEmpiricalRate:
         assert abs(mask.mean() - 0.2) <= 0.01
 
 
-class TestNoiseSpec:
+class TestMatrixFor:
     def test_valid(self):
-        spec = NoiseSpec(kind="pair", rate=0.3, seed=5)
-        assert spec.rate == 0.3
+        for kind, build in (("pair", pair_matrix),
+                            ("symmetric", symmetric_matrix)):
+            got = matrix_for(kind, 0.3, 4)
+            assert np.array_equal(got.entries, build(4, 0.3).entries)
 
     def test_bad_kind(self):
-        with pytest.raises(NoiseError):
-            NoiseSpec(kind="weird", rate=0.1)
+        with pytest.raises(NoiseError, match="unknown noise kind 'weird'"):
+            matrix_for("weird", 0.1, 3)
+        with pytest.raises(ExperimentError, match="unknown noise kind"):
+            config_from_dict({"noise_kinds": ["weird"]})
 
     def test_bad_rate(self):
-        with pytest.raises(NoiseError):
-            NoiseSpec(kind="pair", rate=-0.1)
-
+        for kind in ("pair", "symmetric"):
+            with pytest.raises(NoiseError, match="outside"):
+                matrix_for(kind, -0.1, 3)
+        with pytest.raises(ExperimentError, match="outside"):
+            config_from_dict({"noise_rates": [-0.1]})
