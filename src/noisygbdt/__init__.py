@@ -8,19 +8,17 @@ from .gbdt import (BoostConfig, Booster, Ensemble, Tree, TrainResult,
                    build_tree, grad_hess, probabilities, train)
 from .dynamics import DynamicsLog, EpochRecord
 from .detect import (Gmm1D, NoiseScores, aum_scores, confcorr_scores,
-                     detection_metrics, fit_gmm_1d, gradient_scores,
-                     lrt_scores)
+                     fit_gmm_1d, gradient_scores, lrt_scores)
 from .correct import NoiseHandler, apply_relabel, apply_removal
-from .metrics_report import (ClassificationMetrics, RunReport,
-                             classification_metrics, prediction_type_counts,
+from .metrics_report import (RunReport, classification_metrics,
+                             detection_metrics, prediction_type_counts,
                              write_report)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoostConfig", "Booster", "ClassificationMetrics", "Dataset",
-    "DynamicsLog", "Ensemble", "EpochRecord",
-    "Gmm1D", "NoiseHandler", "NoiseScores", "RunReport",
+    "BoostConfig", "Booster", "Dataset", "DynamicsLog", "Ensemble",
+    "EpochRecord", "Gmm1D", "NoiseHandler", "NoiseScores", "RunReport",
     "SplitSpec", "TrainResult", "TransitionMatrix", "Tree", "apply_relabel",
     "apply_removal", "aum_scores", "build_tree", "classification_metrics",
     "confcorr_scores", "detection_metrics", "fit_gmm_1d", "grad_hess",

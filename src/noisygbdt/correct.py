@@ -6,7 +6,7 @@ keeps its id and dynamics rows) under a cumulative budget measured against
 the original training size. Relabeling reassigns a flagged instance to the
 class with the highest window-averaged probability, at most once per
 instance. Both act on detector flags alone: nothing here knows which labels
-are truly noisy.
+are truly noisy (``metrics_report.detection_report`` scores against that).
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ class NoiseHandler:
     scored for reporting only, each flagging by its own rule (``detect``).
     Every round's flags are kept in ``flag_rounds`` and every correction in
     ``events``, naming rows by their position in the training arrays; the
-    handler never sees which labels are truly noisy, so scoring both against
-    the injected noise is left to the caller (``detect.detection_report``),
-    which also maps the positions to Dataset ids. ``removed`` and
+    handler never sees which labels are truly noisy, so
+    ``metrics_report.detection_report`` scores both against the injected
+    noise and maps the positions to Dataset ids. ``removed`` and
     ``relabeled`` mark the rows it has corrected. With mode "none" the
     callback never touches labels or weights, so training output matches an
     uncorrected run.

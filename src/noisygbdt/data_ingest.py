@@ -121,7 +121,8 @@ def load_csv(path) -> RawTable:
 
     Cells in ``DEFAULT_MISSING_MARKERS`` are missing. A column is inferred
     numeric when at least one cell is present and every present cell parses
-    as a real number (Python's ``float``), categorical otherwise.
+    as a real number (Python's ``float``), categorical otherwise. A numeric
+    cell spelled ``nan`` is missing; an infinite one fails the load.
     """
     try:
         with open(path, "r", newline="") as fh:
@@ -155,6 +156,10 @@ def load_csv(path) -> RawTable:
         if numeric:
             values = np.full(len(raw), np.nan)
             values[present] = parsed
+            inf = np.isinf(values)
+            if inf.any():
+                raise DataIngestError(f"{path}: column {name!r} has an "
+                                      f"infinite value in row {inf.argmax() + 2}")
         else:
             values = np.where(present, raw, None)
         columns.append(Column(name, "numeric" if numeric else "categorical", values))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,16 +64,6 @@ class NoiseScores:
     def noisiness(self) -> np.ndarray:
         """Scores oriented so that larger always means more suspicious."""
         return -self.scores if self.polarity == LOW_IS_NOISY else self.scores
-
-
-@dataclass
-class DetectionMetrics:
-    accuracy: float
-    precision: float
-    recall: float
-    flagged_fraction: float
-    flagged_count: int
-    flagged_noisy_count: int
 
 
 # --------------------------------------------------------------------------
@@ -265,81 +255,3 @@ def score_all(log: DynamicsLog, labels: np.ndarray,
         else:
             raise ValueError(f"unknown detector {method!r}")
     return out
-
-
-# --------------------------------------------------------------------------
-# evaluation helpers
-# --------------------------------------------------------------------------
-
-def detection_metrics(flags: np.ndarray, noise_mask: np.ndarray) -> DetectionMetrics:
-    """Accuracy of the noisy/clean flags against the ground-truth mask;
-    precision and recall treat "noisy" as the positive class."""
-    flags = np.asarray(flags, dtype=bool)
-    mask = np.asarray(noise_mask, dtype=bool)
-    if flags.shape != mask.shape:
-        raise ValueError("flags and mask must have equal length")
-    tp = int((flags & mask).sum())
-    fp = int((flags & ~mask).sum())
-    fn = int((~flags & mask).sum())
-    return DetectionMetrics(
-        accuracy=float((flags == mask).mean()),
-        precision=tp / (tp + fp) if tp + fp else 0.0,
-        recall=tp / (tp + fn) if tp + fn else 0.0,
-        flagged_fraction=float(flags.mean()),
-        flagged_count=int(flags.sum()),
-        flagged_noisy_count=tp,
-    )
-
-
-def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
-                     instance_ids: np.ndarray,
-                     best_round: int) -> tuple[dict, dict, dict, list]:
-    """Score a run's detector flags and correction events against the
-    ground-truth noise mask of the fit set.
-
-    ``flag_rounds`` holds one (round, {method: flags}) pair per detection
-    round, in ascending round order (``NoiseHandler.flag_rounds``). Returns
-    the per-round series of every method, the evaluation at the first
-    detection round and at the early-stopped round, each method's peak
-    flagged fraction with its (first) round, which shows a detector that
-    floods, and the events with ``was_actually_noisy`` added to each removal
-    and relabel. Events name rows by their position in the fit set; the
-    returned ones name them by ``instance_ids``, the fit set's Dataset ids.
-    Early stopping before the first detection round is
-    evaluated at that round; at a round without detection, the next
-    detection round is used, or the last one when none follows.
-    """
-    series: dict[str, dict] = {}
-    for round_index, flags in flag_rounds:
-        for method, fl in flags.items():
-            entry = series.setdefault(method, {"round": []})
-            entry["round"].append(round_index)
-            for key, value in asdict(detection_metrics(fl, noise_mask)).items():
-                entry.setdefault(key, []).append(value)
-    evaluation = {}
-    if series:
-        first = flag_rounds[0][0]
-        for point, round_index in (("first_after_warmup", first),
-                                   ("early_stop", max(best_round, first))):
-            methods = {}
-            for method, entry in series.items():
-                rounds = entry["round"]
-                i = next((i for i, r in enumerate(rounds) if r >= round_index),
-                         len(rounds) - 1)
-                methods[method] = {key: entry[key][i]
-                                   for key in ("accuracy", "precision",
-                                               "recall", "flagged_fraction")}
-                methods[method]["round"] = rounds[i]
-            evaluation[point] = {"round": round_index, "methods": methods}
-    peaks = {}
-    for method, entry in series.items():
-        fractions = entry["flagged_fraction"]
-        i = int(np.argmax(fractions))
-        peaks[method] = {"flagged_fraction": fractions[i],
-                         "round": entry["round"][i]}
-    events = [ev | {"instance_id": int(instance_ids[ev["instance_id"]]),
-                    "was_actually_noisy": bool(noise_mask[ev["instance_id"]])}
-              if ev["action"] in ("remove", "relabel") else ev
-              for ev in events]
-    return series, evaluation, peaks, events
-

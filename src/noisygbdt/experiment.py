@@ -32,8 +32,8 @@ from .correct import DEFAULT_REMOVAL_BUDGET, NoiseHandler
 from .data_ingest import (SplitSpec, load_csv, prepare, stratified_mask,
                           subsample_table)
 from .gbdt import Booster, BoostConfig
-from .metrics_report import (RunReport, load_report, write_tables_csv,
-                             write_report)
+from .metrics_report import (RunReport, detection_report, load_report,
+                             write_tables_csv, write_report)
 
 MONITORS = ("none", "clean_test", "noisy_val")
 
@@ -102,10 +102,7 @@ class ExperimentConfig:
             raise ExperimentError("csv datasets need label_column")
 
     def as_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
-        payload["split"] = dataclasses.asdict(self.split)
-        payload["boost"] = dataclasses.asdict(self.boost)
-        return payload
+        return dataclasses.asdict(self)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -346,7 +343,7 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
             # used here
             report.empirical_noise_rate = float(fit_ds.noise_mask.mean())
             (report.detector_series, report.evaluation, report.detector_peaks,
-             report.correction_events) = detect.detection_report(
+             report.correction_events) = detection_report(
                 handler.flag_rounds, handler.events, fit_ds.noise_mask,
                 fit_ds.instance_ids, report.best_round)
             report.dataset = cfg.dataset
@@ -532,13 +529,12 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
     epoch: the best value over the correction modes of that detector within
     each trial, then the mean (and, with several trials, the std) over
     trials. Classification metrics are tabulated per (correction, detector)
-    at the comparison rate, as the mean and std over trials. Only rates
-    between 10% and 40% enter the aggregation.
+    at the comparison rate, as the mean and std over trials. Only the rates
+    in ``COMPARISON_DETECTION_RATES`` and ``COMPARISON_CLASSIFICATION_RATE``
+    enter the tables.
     """
     cfg.validate()
-    reports = _collect_stage2_reports(cfg)
-    reports = [r for r in reports if r.noise_kind == kind
-               and 0.1 - 1e-9 <= r.noise_rate <= 0.4 + 1e-9]
+    reports = [r for r in _collect_stage2_reports(cfg) if r.noise_kind == kind]
 
     detection_rows: list[dict] = []
     for rate in COMPARISON_DETECTION_RATES:

@@ -9,9 +9,9 @@ may zero instance weights or rewrite labels in place, and that round's trees
 fit the edited arrays. Training and the callback use the noisy labels alone
 (the clean training labels only feed the report's prediction-type counts),
 and the trainer does not score detector flags: the experiment layer does
-that against the injected noise (``detect.detection_report``). Training
-scores are updated from the grower's leaf partition; only zero-weight rows
-and held-out sets go through ``Tree.predict``.
+that against the injected noise (``metrics_report.detection_report``).
+Training scores are updated from the grower's leaf partition; only
+zero-weight rows and held-out sets go through ``Tree.predict``.
 
 The fit size picks the split search, with no setting to override it: up to
 2,048 fitted rows it is exact greedy (columns presorted once per run, each
@@ -911,7 +911,7 @@ class Booster:
         if self.test is not None:
             report.final = classification_metrics(
                 self.best_test_predicted, self.test.clean_labels,
-                self.dataset.class_count).as_dict()
+                self.dataset.class_count)
         return TrainResult(ensemble=self.ensemble.truncated(best_round + 1),
                            dynamics=self.dynamics, report=report)
 

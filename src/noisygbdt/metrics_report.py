@@ -1,4 +1,9 @@
-"""Classification metrics, prediction-type bookkeeping, and run-report output.
+"""Classification metrics, detection scoring, prediction-type bookkeeping,
+and run-report output.
+
+Every comparison with the ground truth is made here, on one precision/recall
+core: test predictions against the clean labels, and detector flags and
+correction events against the injected noise (``detection_report``).
 
 A RunReport collects everything a single training run produces: per-round
 series, detector metrics, the final test metrics at the early-stopped round,
@@ -17,19 +22,9 @@ from pathlib import Path
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ClassificationMetrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def _binary_prf(predictions: np.ndarray, labels: np.ndarray,
                 positive: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of one class id, or of True for flags."""
     tp = int(((predictions == positive) & (labels == positive)).sum())
     fp = int(((predictions == positive) & (labels != positive)).sum())
     fn = int(((predictions != positive) & (labels == positive)).sum())
@@ -41,7 +36,7 @@ def _binary_prf(predictions: np.ndarray, labels: np.ndarray,
 
 
 def classification_metrics(predictions: np.ndarray, labels: np.ndarray,
-                           class_count: int) -> ClassificationMetrics:
+                           class_count: int) -> dict:
     """Accuracy plus precision/recall/F1.
 
     Binary tasks report the positive class (class id 1); multiclass tasks
@@ -60,8 +55,76 @@ def classification_metrics(predictions: np.ndarray, labels: np.ndarray,
         precision = float(np.mean([p for p, _, _ in per]))
         recall = float(np.mean([r for _, r, _ in per]))
         f1 = float(np.mean([f for _, _, f in per]))
-    return ClassificationMetrics(accuracy=accuracy, precision=precision,
-                                 recall=recall, f1=f1)
+    return {"accuracy": accuracy, "precision": precision, "recall": recall,
+            "f1": f1}
+
+
+def detection_metrics(flags: np.ndarray, noise_mask: np.ndarray) -> dict:
+    """Accuracy of the noisy/clean flags against the ground-truth mask;
+    precision and recall treat "noisy" as the positive class."""
+    flags = np.asarray(flags, dtype=bool)
+    mask = np.asarray(noise_mask, dtype=bool)
+    if flags.shape != mask.shape:
+        raise ValueError("flags and mask must have equal length")
+    precision, recall, _ = _binary_prf(flags, mask, positive=True)
+    return {"accuracy": float((flags == mask).mean()),
+            "precision": precision, "recall": recall,
+            "flagged_fraction": float(flags.mean()),
+            "flagged_count": int(flags.sum()),
+            "flagged_noisy_count": int((flags & mask).sum())}
+
+
+def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
+                     instance_ids: np.ndarray,
+                     best_round: int) -> tuple[dict, dict, dict, list]:
+    """Score a run's detector flags and correction events against the
+    ground-truth noise mask of the fit set.
+
+    ``flag_rounds`` holds one (round, {method: flags}) pair per detection
+    round, in ascending round order (``NoiseHandler.flag_rounds``). Returns
+    the per-round series of every method, the evaluation at the first
+    detection round and at the early-stopped round, each method's peak
+    flagged fraction with its (first) round, which shows a detector that
+    floods, and the events with ``was_actually_noisy`` added to each removal
+    and relabel. Events name rows by their position in the fit set; the
+    returned ones name them by ``instance_ids``, the fit set's Dataset ids.
+    Early stopping before the first detection round is
+    evaluated at that round; at a round without detection, the next
+    detection round is used, or the last one when none follows.
+    """
+    series: dict[str, dict] = {}
+    for round_index, flags in flag_rounds:
+        for method, fl in flags.items():
+            entry = series.setdefault(method, {"round": []})
+            entry["round"].append(round_index)
+            for key, value in detection_metrics(fl, noise_mask).items():
+                entry.setdefault(key, []).append(value)
+    evaluation = {}
+    if series:
+        first = flag_rounds[0][0]
+        for point, round_index in (("first_after_warmup", first),
+                                   ("early_stop", max(best_round, first))):
+            methods = {}
+            for method, entry in series.items():
+                rounds = entry["round"]
+                i = next((i for i, r in enumerate(rounds) if r >= round_index),
+                         len(rounds) - 1)
+                methods[method] = {key: entry[key][i]
+                                   for key in ("accuracy", "precision",
+                                               "recall", "flagged_fraction")}
+                methods[method]["round"] = rounds[i]
+            evaluation[point] = {"round": round_index, "methods": methods}
+    peaks = {}
+    for method, entry in series.items():
+        fractions = entry["flagged_fraction"]
+        i = int(np.argmax(fractions))
+        peaks[method] = {"flagged_fraction": fractions[i],
+                         "round": entry["round"][i]}
+    events = [ev | {"instance_id": int(instance_ids[ev["instance_id"]]),
+                    "was_actually_noisy": bool(noise_mask[ev["instance_id"]])}
+              if ev["action"] in ("remove", "relabel") else ev
+              for ev in events]
+    return series, evaluation, peaks, events
 
 
 def prediction_type_counts(predictions: np.ndarray, clean_labels: np.ndarray,

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from conftest import blob_dataset
 from noisygbdt import noise
 from noisygbdt.correct import NoiseHandler, apply_relabel, apply_removal
-from noisygbdt.detect import detection_report
 from noisygbdt.experiment import ExperimentConfig, run_cell
 from noisygbdt.gbdt import BoostConfig, train
+from noisygbdt.metrics_report import detection_report
 
 
 def make_handler(n=10, mode="remove", budget=0.8, class_count=3):

@@ -60,9 +60,9 @@ class TestLoadCsv:
         # missing markers, an all-missing column, padding, Python float
         # spellings, and numeric labels whose tokens sort as text
         path = write_csv(tmp_path, "q,gone,pad,under,big,word,label\n"
-                         "1,,  2 ,1_000,inf,x,10\n"
-                         "?,?,3,2,-inf,1,2\n"
-                         "4,, 5,3,1e3,?,10\n")
+                         "1,,  2 ,1_000,1e300,x,10\n"
+                         "?,?,3,2,-2.5E-1,1,2\n"
+                         "4,, 5,3,+1e3,?,10\n")
         table = load_csv(path)
         assert [(c.name, c.kind) for c in table.columns] == [
             ("q", "numeric"), ("gone", "categorical"), ("pad", "numeric"),
@@ -73,7 +73,7 @@ class TestLoadCsv:
         assert table.column("gone").values.tolist() == [None, None, None]
         assert table.column("pad").values.tolist() == [2.0, 3.0, 5.0]
         assert table.column("under").values.tolist() == [1000.0, 2.0, 3.0]
-        assert table.column("big").values.tolist() == [np.inf, -np.inf, 1e3]
+        assert table.column("big").values.tolist() == [1e300, -0.25, 1e3]
         assert table.column("word").values.tolist() == ["x", "1", None]
         with pytest.raises(DataIngestError, match="'gone' has no observed"):
             preprocess(table, "label")
@@ -86,12 +86,31 @@ class TestLoadCsv:
         assert ds.feature_names == ["q", "pad", "under", "word=1", "word=x"]
         assert ds.features[:, 3:].tolist() == [[0, 1], [1, 0], [1, 0]]
 
-    @pytest.mark.parametrize("label", ["100000.5", "inf"])
-    def test_numeric_labels_must_be_exact_integers(self, tmp_path, label):
+    @pytest.mark.parametrize("label, message", [
+        ("100000.5", "must be categorical or integer-coded"),
+        # an infinite label fails at load, as any infinite numeric cell does
+        ("inf", "column 'label' has an infinite value in row 2")],
+        ids=["100000.5", "inf"])
+    def test_numeric_labels_must_be_exact_integers(self, tmp_path, label,
+                                                   message):
         path = write_csv(tmp_path, f"a,label\n1,{label}\n2,200000\n")
-        with pytest.raises(DataIngestError,
-                           match="must be categorical or integer-coded"):
+        with pytest.raises(DataIngestError, match=message):
             preprocess(load_csv(path), "label")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_infinite_cell_fails_the_load(self, tmp_path, cell):
+        # named by column and by its row in the file, header first
+        path = write_csv(tmp_path, f"a,b,label\n1,2,0\n3,4,1\n5,{cell},0\n"
+                         "7,-inf,1\n")
+        with pytest.raises(DataIngestError,
+                           match="column 'b' has an infinite value in row 4"):
+            load_csv(path)
+
+    def test_nan_cell_loads_as_missing(self, tmp_path):
+        path = write_csv(tmp_path, "a,label\n1,0\nnan,1\n3,0\nNaN,1\n")
+        col = load_csv(path).column("a")
+        assert col.kind == "numeric"
+        assert np.isnan(col.values).tolist() == [False, True, False, True]
 
     def test_bundled_breast_cancer_shape(self):
         import noisygbdt

@@ -10,11 +10,11 @@ from conftest import threshold_dataset
 from noisygbdt import detect, noise
 from noisygbdt.detect import (ALL_METHODS, HIGH_IS_NOISY, LOW_IS_NOISY, Gmm1D,
                               _gmm_flags, aum_scores, confcorr_scores,
-                              detection_metrics, detection_report, fit_gmm_1d,
-                              gmm_decision_threshold, gradient_scores,
-                              lrt_scores, score_all)
+                              fit_gmm_1d, gmm_decision_threshold,
+                              gradient_scores, lrt_scores, score_all)
 from noisygbdt.dynamics import DynamicsLog, EpochRecord
 from noisygbdt.gbdt import BoostConfig, train
+from noisygbdt.metrics_report import detection_metrics, detection_report
 
 
 class TestLrt:
@@ -401,14 +401,14 @@ class TestDetectionMetrics:
     def test_perfect_flags(self):
         mask = np.array([True, False, True])
         m = detection_metrics(mask, mask)
-        assert m.accuracy == 1.0 and m.precision == 1.0 and m.recall == 1.0
+        assert (m["accuracy"], m["precision"], m["recall"]) == (1.0, 1.0, 1.0)
 
     def test_no_flags_thirty_percent_noise(self):
         mask = np.zeros(100, bool)
         mask[:30] = True
         m = detection_metrics(np.zeros(100, bool), mask)
-        assert m.accuracy == pytest.approx(0.7)
-        assert m.recall == 0.0
+        assert m["accuracy"] == pytest.approx(0.7)
+        assert m["recall"] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -435,7 +435,7 @@ class TestDetectionReport:
             for key in ("accuracy", "precision", "recall",
                         "flagged_fraction", "flagged_count",
                         "flagged_noisy_count"):
-                assert series["a"][key][i] == getattr(m, key)
+                assert series["a"][key][i] == m[key]
         assert series["b"]["flagged_count"] == [0, 0, 0]
 
     def test_early_stop_inside_detection_rounds(self):
@@ -504,5 +504,5 @@ class TestCleanSeparableNoFalseAlarms:
             warnings.simplefilter("ignore")
             scored = score_all(res.dynamics, ds.noisy_labels, ALL_METHODS)
         for method, s in scored.items():
-            acc = detection_metrics(s.flagged, ds.noise_mask).accuracy
+            acc = detection_metrics(s.flagged, ds.noise_mask)["accuracy"]
             assert acc >= 0.999, f"{method} false alarms on clean data"

@@ -755,7 +755,7 @@ class TestBooster:
         assert res.report.best_round < res.report.rounds_trained - 1
         again = classification_metrics(
             res.ensemble.predict(test_ds.features)[1].argmax(axis=1),
-            test_ds.clean_labels, 3).as_dict()
+            test_ds.clean_labels, 3)
         assert res.report.final == again
 
     @staticmethod

@@ -1,44 +1,48 @@
+import inspect
 import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noisygbdt import correct, detect, dynamics
 from noisygbdt.metrics_report import (RunReport, classification_metrics,
-                                      load_report, prediction_type_counts,
-                                      tables_rows, write_report)
+                                      detection_metrics, load_report,
+                                      prediction_type_counts, tables_rows,
+                                      write_report)
 
 
 class TestClassificationMetrics:
     def test_perfect_predictions(self):
         y = np.array([0, 1, 1, 0])
         m = classification_metrics(y, y, 2)
-        assert (m.accuracy, m.precision, m.recall, m.f1) == (1, 1, 1, 1)
+        assert m == {"accuracy": 1, "precision": 1, "recall": 1, "f1": 1}
 
     def test_binary_confusion_example(self):
         # TP=3, FP=1, FN=2, TN=3
         labels = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0])
         preds = np.array([1, 1, 1, 0, 0, 1, 0, 0, 0])
         m = classification_metrics(preds, labels, 2)
-        assert m.precision == pytest.approx(0.75)
-        assert m.recall == pytest.approx(0.6)
-        assert m.f1 == pytest.approx(2 / 3, abs=1e-3)
+        assert m["precision"] == pytest.approx(0.75)
+        assert m["recall"] == pytest.approx(0.6)
+        assert m["f1"] == pytest.approx(2 / 3, abs=1e-3)
 
     def test_degenerate_single_class_predictor(self):
         labels = np.array([0, 0, 1, 1])
         preds = np.zeros(4, dtype=int)
         m = classification_metrics(preds, labels, 2)
-        assert m.recall == 0.0  # positive class never predicted
+        assert m["recall"] == 0.0  # positive class never predicted
         macro = classification_metrics(preds, labels, 3)
-        assert macro.f1 < 0.5
+        assert macro["f1"] < 0.5
 
     def test_multiclass_macro_average(self):
         labels = np.array([0, 0, 1, 1, 2, 2])
         preds = np.array([0, 0, 1, 0, 2, 1])
         m = classification_metrics(preds, labels, 3)
         # per-class recall: 1.0, 0.5, 0.5
-        assert m.recall == pytest.approx((1.0 + 0.5 + 0.5) / 3)
+        assert m["recall"] == pytest.approx((1.0 + 0.5 + 0.5) / 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -53,13 +57,143 @@ class TestClassificationMetrics:
         labels = rng.integers(0, c, size=60)
         preds = rng.integers(0, c, size=60)
         m = classification_metrics(preds, labels, c)
-        assert 0.0 <= m.accuracy <= 1.0
+        assert 0.0 <= m["accuracy"] <= 1.0
         per_class = []
         for k in range(c):
             mk = classification_metrics((preds == k).astype(int),
                                         (labels == k).astype(int), 2)
-            per_class.append(mk.f1)
-        assert m.f1 <= max(per_class) + 1e-12
+            per_class.append(mk["f1"])
+        assert m["f1"] <= max(per_class) + 1e-12
+
+
+# The scoring as it was written before flags and classes shared one
+# precision/recall core, kept verbatim as the reference for exact equality.
+
+@dataclass
+class ReferenceDetectionMetrics:
+    accuracy: float
+    precision: float
+    recall: float
+    flagged_fraction: float
+    flagged_count: int
+    flagged_noisy_count: int
+
+
+def reference_detection_metrics(flags, noise_mask) -> dict:
+    flags = np.asarray(flags, dtype=bool)
+    mask = np.asarray(noise_mask, dtype=bool)
+    tp = int((flags & mask).sum())
+    fp = int((flags & ~mask).sum())
+    fn = int((~flags & mask).sum())
+    return asdict(ReferenceDetectionMetrics(
+        accuracy=float((flags == mask).mean()),
+        precision=tp / (tp + fp) if tp + fp else 0.0,
+        recall=tp / (tp + fn) if tp + fn else 0.0,
+        flagged_fraction=float(flags.mean()),
+        flagged_count=int(flags.sum()),
+        flagged_noisy_count=tp,
+    ))
+
+
+def reference_binary_prf(predictions, labels, positive):
+    tp = int(((predictions == positive) & (labels == positive)).sum())
+    fp = int(((predictions == positive) & (labels != positive)).sum())
+    fn = int(((predictions != positive) & (labels == positive)).sum())
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    return precision, recall, f1
+
+
+def reference_classification_metrics(predictions, labels, class_count):
+    accuracy = float((predictions == labels).mean()) if len(labels) else 0.0
+    if class_count == 2:
+        precision, recall, f1 = reference_binary_prf(predictions, labels, 1)
+    else:
+        per = [reference_binary_prf(predictions, labels, k)
+               for k in range(class_count)]
+        precision = float(np.mean([p for p, _, _ in per]))
+        recall = float(np.mean([r for _, r, _ in per]))
+        f1 = float(np.mean([f for _, _, f in per]))
+    return {"accuracy": accuracy, "precision": precision, "recall": recall,
+            "f1": f1}
+
+
+def assert_same_dict(got: dict, want: dict):
+    # exact values, key order and types: the report's JSON must not change
+    assert got == want
+    assert list(got) == list(want)
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+def bool_arrays(n):
+    return st.one_of(st.just([False] * n), st.just([True] * n),
+                     st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@st.composite
+def flags_and_mask(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    return (np.array(draw(bool_arrays(n)), dtype=bool),
+            np.array(draw(bool_arrays(n)), dtype=bool))
+
+
+class TestOneCoreMatchesTheReference:
+    @pytest.mark.properties
+    @given(flags_and_mask())
+    @example((np.zeros(9, bool), np.arange(9) % 3 == 0))   # all-false flags
+    @example((np.ones(9, bool), np.arange(9) % 3 == 0))    # all-true flags
+    @example((np.arange(9) % 2 == 0, np.zeros(9, bool)))   # all-false mask
+    @example((np.ones(4, bool), np.zeros(4, bool)))
+    @settings(max_examples=200, deadline=None)
+    def test_detection_metrics(self, pair):
+        flags, mask = pair
+        assert_same_dict(detection_metrics(flags, mask),
+                         reference_detection_metrics(flags, mask))
+
+    @pytest.mark.properties
+    @given(st.sampled_from([2, 7]), st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_classification_metrics(self, class_count, n, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, class_count, size=n)
+        preds = rng.integers(0, class_count, size=n)
+        assert_same_dict(classification_metrics(preds, labels, class_count),
+                         reference_classification_metrics(preds, labels,
+                                                          class_count))
+
+
+TRUTH_PARAMETERS = {"noise_mask", "clean_labels"}
+
+
+def public_functions(module):
+    """The module's own public functions, and the public methods (with
+    ``__init__`` and ``__call__``) of its own classes."""
+    for name, obj in vars(module).items():
+        if (name.startswith("_")
+                or getattr(obj, "__module__", None) != module.__name__):
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and (
+                        not attr.startswith("_")
+                        or attr in ("__init__", "__call__")):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module", [detect, correct, dynamics],
+                         ids=lambda m: m.__name__)
+def test_detection_and_correction_never_see_the_truth(module):
+    found = list(public_functions(module))
+    assert found
+    leaks = [(name, sorted(TRUTH_PARAMETERS
+                           & set(inspect.signature(fn).parameters)))
+             for name, fn in found]
+    assert [leak for leak in leaks if leak[1]] == []
 
 
 class TestPredictionTypes:
