@@ -122,7 +122,8 @@ def load_csv(path) -> RawTable:
     Cells in ``DEFAULT_MISSING_MARKERS`` are missing. A column is inferred
     numeric when at least one cell is present and every present cell parses
     as a real number (Python's ``float``), categorical otherwise. A numeric
-    cell spelled ``nan`` is missing; an infinite one fails the load.
+    cell spelled ``nan`` is missing; an infinite one fails the load, and so
+    does a header that names a column twice.
     """
     try:
         with open(path, "r", newline="") as fh:
@@ -134,6 +135,10 @@ def load_csv(path) -> RawTable:
     if not rows:
         raise DataIngestError(f"{path}: no rows")
     header = [h.strip() for h in rows[0]]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataIngestError(f"{path}: column {name!r} appears twice "
+                                  "in the header")
     body = rows[1:]
     if not body:
         raise DataIngestError(f"{path}: no rows")

@@ -43,15 +43,13 @@ class DynamicsLog:
         self.window_size = window
         self.window: deque[EpochRecord] = deque(maxlen=window)
         self.rounds_recorded = 0
-        self._last_round: int | None = None
         self.sum_label_prob = np.zeros(n_instances)
         self.sum_correct = np.zeros(n_instances)
 
     def record(self, record: EpochRecord, labels: np.ndarray) -> None:
-        expected = 0 if self._last_round is None else self._last_round + 1
-        if record.round != expected:
-            raise ValueError(
-                f"out-of-order round {record.round}, expected {expected}")
+        if record.round != self.rounds_recorded:
+            raise ValueError(f"out-of-order round {record.round}, "
+                             f"expected {self.rounds_recorded}")
         if record.probs.shape != (self.n_instances, self.class_count):
             raise ValueError("record shape does not match the log")
         p_label = record.probs[np.arange(self.n_instances), labels]
@@ -59,7 +57,6 @@ class DynamicsLog:
         self.sum_correct += (record.predicted == labels)
         self.window.append(record)
         self.rounds_recorded += 1
-        self._last_round = record.round
 
     def copy(self) -> "DynamicsLog":
         """An independent log that shares the recorded EpochRecords, which

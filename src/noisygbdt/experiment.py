@@ -87,6 +87,17 @@ class ExperimentConfig:
         for corr in self.corrections:
             if corr not in ("remove", "relabel"):
                 raise ExperimentError(f"unknown correction {corr!r}")
+        # cells of a repeated entry would share an output directory, and
+        # _cell_dir names a rate by two decimals
+        for key, values in (
+                ("noise_kinds", self.noise_kinds),
+                ("noise_rates (to two decimals)",
+                 [f"{rate:.2f}" for rate in self.noise_rates]),
+                ("detectors", self.detectors),
+                ("corrections", self.corrections)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ExperimentError(f"{key} lists {value!r} twice")
         self.boost.validate(with_callback=True)
         if not (0.0 <= self.removal_budget <= 1.0):
             raise ExperimentError("removal_budget must lie in [0, 1]")
@@ -96,6 +107,8 @@ class ExperimentConfig:
             raise ExperimentError("noisy_val_fraction must lie in (0, 0.5)")
         if self.trials < 1:
             raise ExperimentError("trials must be at least 1")
+        if self.jobs < 1:
+            raise ExperimentError("jobs must be at least 1")
         if self.subsample is not None and self.subsample < 1:
             raise ExperimentError("subsample must be at least 1")
         if not datasets.is_builtin(self.dataset) and self.label_column is None:
@@ -530,8 +543,8 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
     each trial, then the mean (and, with several trials, the std) over
     trials. Classification metrics are tabulated per (correction, detector)
     at the comparison rate, as the mean and std over trials. Only the rates
-    in ``COMPARISON_DETECTION_RATES`` and ``COMPARISON_CLASSIFICATION_RATE``
-    enter the tables.
+    in ``COMPARISON_DETECTION_RATES`` and ``COMPARISON_CLASSIFICATION_RATE``,
+    and only the config's detectors and corrections, enter the tables.
     """
     cfg.validate()
     reports = [r for r in _collect_stage2_reports(cfg) if r.noise_kind == kind]
@@ -541,7 +554,8 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
         for detector in cfg.detectors:
             cells = [r for r in reports
                      if abs(r.noise_rate - rate) < 1e-9
-                     and r.detection == detector]
+                     and r.detection == detector
+                     and r.correction in cfg.corrections]
             best_per_trial: dict[int, float] = {}
             for r in cells:
                 methods = r.evaluation.get("early_stop", {}).get("methods", {})
@@ -559,7 +573,7 @@ def run_stage3(cfg: ExperimentConfig, kind: str = "pair") -> dict:
     rate = COMPARISON_CLASSIFICATION_RATE
     combos = [("none", "none")] + [
         (corr, det) for corr in ("relabel", "remove")
-        for det in cfg.detectors]
+        if corr in cfg.corrections for det in cfg.detectors]
     for correction, detector in combos:
         cells = [r for r in reports
                  if abs(r.noise_rate - rate) < 1e-9

@@ -25,9 +25,11 @@ features of similar bin count. Large nodes build each quantile-binned feature
 with its own ``bincount`` and the distinct-value features together in one
 interleaved pass; small nodes build every feature in that pass. The larger
 child is its parent minus its sibling, and children at ``max_depth`` get
-their gradient and hessian sums alone (``_HistSplitter``). One recursive
-grower (``_TreeGrower.grow``) holds the stop rules for both searches; each
-splitter brings its own search, partition and node statistics.
+their gradient and hessian sums alone (``_HistSplitter``). The splitter is
+built once per training run (``_splitter``), and one recursive function
+(``_fit_tree``) grows every tree through four of its calls: ``node_stats``,
+``best_split``, ``partition`` and ``child_stats``. A split crosses that seam
+as a feature and a threshold, whichever search found it.
 
 Two classes train one logistic tree per round, more classes one softmax tree
 per class. Raw scores, gradients and hessians are always (n, width) arrays,
@@ -210,36 +212,34 @@ def _midpoint(lo: float, hi: float) -> float:
     return mid
 
 
-def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every column's stable argsort and its sorted values, both (d, n)."""
-    order = np.argsort(features, axis=0, kind="stable")
-    values = np.take_along_axis(features, order, axis=0)
-    return np.ascontiguousarray(order.T), np.ascontiguousarray(values.T)
-
-
 class _ExactSplitter:
     """Exact greedy search over all features of a node at once.
 
     A node's statistics carry its sorted blocks: ``idx`` (d, m), the node's
     rows in ascending order of each feature, and ``xs`` (d, m), those rows'
-    values. The root's blocks are ``presorted`` (from ``_presort``, built
-    once per training run) compacted to the root rows; each child's are its
-    parent's compacted to the child's rows. Compaction is stable, so a
-    node's blocks are the presort filtered by node membership, the order of
-    a stable per-node sort since rows are ascending. Cuts between tied
-    values get gain -inf; one row-major argmax keeps the first feature, then
-    the first position, of the best gain. Children at ``max_depth`` are
-    leaves, so they get their gradient and hessian sums alone.
+    values. The root's blocks are the presort (every column's stable argsort
+    and sorted values, built once per training run) compacted to the root
+    rows; each child's are its parent's compacted to the child's rows.
+    Compaction is stable, so a node's blocks are the presort filtered by
+    node membership, the order of a stable per-node sort since rows are
+    ascending. Cuts between tied values get gain -inf; one row-major argmax
+    keeps the first feature, then the first position, of the best gain.
+    Children at ``max_depth`` are leaves, so they get their gradient and
+    hessian sums alone.
     """
 
-    def __init__(self, features: np.ndarray, config: BoostConfig,
-                 presorted: tuple[np.ndarray, np.ndarray]):
+    method = "exact"
+
+    def __init__(self, features: np.ndarray, config: BoostConfig):
         self.x = features
         self.lam = config.l2_reg
-        self.order, self.sorted_x = presorted
+        order = np.argsort(features, axis=0, kind="stable")
+        values = np.take_along_axis(features, order, axis=0)
+        self.order = np.ascontiguousarray(order.T)
+        self.sorted_x = np.ascontiguousarray(values.T)
 
-    def best_split(self, idx: np.ndarray, xs: np.ndarray, g: np.ndarray,
-                   h: np.ndarray, g_total: float, h_total: float):
+    def best_split(self, stats, g: np.ndarray, h: np.ndarray):
+        g_total, h_total, idx, xs = stats
         m = idx.shape[1]
         gl = np.cumsum(g[idx], axis=1)[:, :-1]
         hl = np.cumsum(h[idx], axis=1)[:, :-1]
@@ -284,9 +284,6 @@ class _ExactSplitter:
         return (*self._sums(rows, g, h),
                 *self._compact(self.order, self.sorted_x, keep, len(rows)))
 
-    def search(self, rows, g, h, stats):
-        return self.best_split(*stats[2:], g, h, *stats[:2])
-
     def child_stats(self, stats, left_rows, right_rows, g, h, leaves: bool):
         """The parent's blocks split by the go-left membership of
         ``left_rows``; children that will be leaves get their sums alone."""
@@ -297,9 +294,6 @@ class _ExactSplitter:
         keep = self._member(left_rows)[idx]
         return ((*left, *self._compact(idx, xs, keep, len(left_rows))),
                 (*right, *self._compact(idx, xs, ~keep, len(right_rows))))
-
-    def threshold_value(self, feature: int, threshold: float) -> float:
-        return threshold
 
 
 class Binner:
@@ -380,10 +374,16 @@ class _HistSplitter:
     in row order from 0.0, so both builds give the same histograms to the
     bit. The search runs one cumsum per block and one argmax over the real
     cuts in (feature, bin) order, so the first of equal gains wins as in a
-    row-major argmax over every feature's bins. Node totals are the sums of
-    feature 0's row. Children at ``max_depth`` are leaves, so they get those
-    totals alone (``child_stats``).
+    row-major argmax over every feature's bins, and the best cut leaves as
+    its threshold, ``cuts[feature][bin]``. A feature's cuts are strictly
+    increasing (distinct-value midpoints lie strictly between their values,
+    quantile cuts pass ``np.unique``), so ``partition`` finds that bin again
+    with ``searchsorted`` and routes rows on their codes. Node totals are the
+    sums of feature 0's row. Children at ``max_depth`` are leaves, so they
+    get those totals alone (``child_stats``).
     """
+
+    method = "hist"
 
     def __init__(self, binner: Binner, config: BoostConfig):
         self.b = binner
@@ -410,7 +410,8 @@ class _HistSplitter:
                 np.add.at(hh, flat, np.repeat(hr[lo:hi], k))
         return gh, hh
 
-    def best_split(self, hists, g_total: float, h_total: float):
+    def best_split(self, stats, g: np.ndarray, h: np.ndarray):
+        g_total, h_total, *hists = stats
         b = self.b
         if not len(b.cut_pos):
             return -np.inf, None, None
@@ -426,9 +427,11 @@ class _HistSplitter:
         gain = float(gains[k])
         if gain == -np.inf:
             return -np.inf, None, None
-        return gain, int(b.cut_feature[k]), int(b.cut_bin[k])
+        feature = int(b.cut_feature[k])
+        return gain, feature, float(b.cuts[feature][b.cut_bin[k]])
 
-    def partition(self, rows: np.ndarray, feature: int, bin_idx: int):
+    def partition(self, rows: np.ndarray, feature: int, threshold: float):
+        bin_idx = int(np.searchsorted(self.b.cuts[feature], threshold))
         go_left = self.b.codes_T[feature][rows] <= bin_idx
         return rows[go_left], rows[~go_left]
 
@@ -440,9 +443,6 @@ class _HistSplitter:
 
     def node_stats(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
         return self._stats(*self.node_hists(rows, g, h))
-
-    def search(self, rows, g, h, stats):
-        return self.best_split(stats[2:], *stats[:2])
 
     def child_stats(self, stats, left_rows, right_rows, g, h, leaves: bool):
         """The smaller child's histograms are built, its sibling's are the
@@ -463,99 +463,65 @@ class _HistSplitter:
             small, large = self._stats(sg, sh), self._stats(gh - sg, hh - sh)
         return (small, large) if small_left else (large, small)
 
-    def threshold_value(self, feature: int, bin_idx: int) -> float:
-        return float(self.b.cuts[feature][bin_idx])
+
+def _splitter(features: np.ndarray, fit_rows: np.ndarray, config: BoostConfig):
+    """The split search the fit size selects, built once per training run:
+    histograms above ``_HIST_THRESHOLD`` fitted rows, exact up to it."""
+    if fit_rows.size > _HIST_THRESHOLD:
+        return _HistSplitter(Binner(features, fit_rows), config)
+    return _ExactSplitter(features, config)
 
 
-class _TreeGrower:
-    """Grows one tree and records, in ``leaf_of_row``, the leaf each fitted
-    row lands in (-1 for rows outside the fit). Both splitters partition rows
-    with the predicate ``Tree.predict`` routes by, so these are the leaves
-    ``Tree.predict`` finds for the same rows."""
+def _fit_tree(splitter, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
+              config: BoostConfig) -> tuple[Tree, np.ndarray]:
+    """The tree fitted to ``rows`` and each row's leaf index (-1 outside
+    ``rows``).
 
-    def __init__(self, config: BoostConfig, n_rows: int):
-        self.cfg = config
-        self.leaf_of_row = np.full(n_rows, -1, dtype=np.int32)
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+    A node's statistics (``node_stats``, ``child_stats``) lead with its
+    gradient and hessian sums; told that the children sit at ``max_depth``,
+    ``child_stats`` may give their sums alone. A node is a leaf at
+    ``max_depth``, below 2 rows, when no cut gains more than
+    ``min_split_gain``, or when the best cut leaves no row on one side (a
+    cut past every row of the node gains only float residue). Both splitters
+    partition rows with the predicate ``Tree.predict`` routes by, so each
+    row's leaf is the one ``Tree.predict`` finds for it.
+    """
+    nodes = []   # [feature, threshold, left, right, value] per node
+    leaf_of_row = np.full(len(g), -1, dtype=np.int32)
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def grow(self, splitter, rows: np.ndarray, g: np.ndarray, h: np.ndarray,
-             depth: int, stats) -> int:
-        """Grow the subtree of ``rows``; ``stats`` are the splitter's
-        statistics of those rows (``node_stats``), led by their gradient and
-        hessian sums: exact adds the sorted blocks, hist the histograms.
-        ``search`` gives the best cut (exact: a threshold, hist: a bin
-        index), ``threshold_value`` its threshold, ``child_stats`` the
-        children's; told that the children sit at ``max_depth``, it may give
-        their sums alone.
-
-        A node is a leaf at ``max_depth``, below 2 rows, when no cut gains
-        more than ``min_split_gain``, or when the best cut leaves no row on
-        one side (a cut past every row of the node gains only float residue).
-        """
-        idx = self._new_node()
-        g_total, h_total = stats[:2]
-        if depth < self.cfg.max_depth and len(rows) >= 2:
-            gain, feat, cut = splitter.search(rows, g, h, stats)
-            if feat is not None and gain > self.cfg.min_split_gain:
-                left_rows, right_rows = splitter.partition(rows, feat, cut)
+    def grow(rows: np.ndarray, depth: int, stats) -> int:
+        idx = len(nodes)
+        node = [-1, 0.0, -1, -1, 0.0]
+        nodes.append(node)
+        if depth < config.max_depth and len(rows) >= 2:
+            gain, feat, threshold = splitter.best_split(stats, g, h)
+            if feat is not None and gain > config.min_split_gain:
+                left_rows, right_rows = splitter.partition(rows, feat,
+                                                           threshold)
                 if left_rows.size and right_rows.size:
-                    self.feature[idx] = feat
-                    self.threshold[idx] = splitter.threshold_value(feat, cut)
                     left, right = splitter.child_stats(
                         stats, left_rows, right_rows, g, h,
-                        leaves=depth + 1 == self.cfg.max_depth)
-                    self.left[idx] = self.grow(splitter, left_rows, g, h,
-                                               depth + 1, left)
-                    self.right[idx] = self.grow(splitter, right_rows, g, h,
-                                                depth + 1, right)
+                        leaves=depth + 1 == config.max_depth)
+                    node[:4] = (feat, threshold,
+                                grow(left_rows, depth + 1, left),
+                                grow(right_rows, depth + 1, right))
                     return idx
-        self.value[idx] = leaf_value(g_total, h_total, self.cfg.l2_reg,
-                                     self.cfg.learning_rate)
-        self.leaf_of_row[rows] = idx
+        node[4] = leaf_value(stats[0], stats[1], config.l2_reg,
+                             config.learning_rate)
+        leaf_of_row[rows] = idx
         return idx
 
-    def freeze(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
-        )
-
-
-def _split_index(features: np.ndarray, fit_rows: np.ndarray):
-    """The split method the fit size selects and its once-per-run index: a
-    Binner above ``_HIST_THRESHOLD`` fitted rows, the presort up to it."""
-    if fit_rows.size > _HIST_THRESHOLD:
-        return "hist", Binner(features, fit_rows)
-    return "exact", _presort(features)
-
-
-def _fit_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray,
-              rows: np.ndarray, config: BoostConfig,
-              index) -> tuple[Tree, np.ndarray]:
-    """The tree and each row's leaf index (-1 outside ``rows``).
-
-    ``index`` is built once per training run: a Binner selects the
-    histogram splitter, a ``_presort`` result the exact one."""
-    grower = _TreeGrower(config, len(g))
-    splitter = (_HistSplitter(index, config) if isinstance(index, Binner)
-                else _ExactSplitter(features, config, index))
-    grower.grow(splitter, rows, g, h, 0, splitter.node_stats(rows, g, h))
-    return grower.freeze(), grower.leaf_of_row
+    grow(rows, 0, splitter.node_stats(rows, g, h))
+    # the recursive closure refers to itself; breaking that cycle frees its
+    # gradient arrays now rather than at the next full garbage collection
+    del grow
+    feature, threshold, left, right, value = zip(*nodes)
+    tree = Tree(feature=np.asarray(feature, dtype=np.int32),
+                threshold=np.asarray(threshold, dtype=np.float64),
+                left=np.asarray(left, dtype=np.int32),
+                right=np.asarray(right, dtype=np.int32),
+                value=np.asarray(value, dtype=np.float64))
+    return tree, leaf_of_row
 
 
 def build_tree(features: np.ndarray, gradients: np.ndarray,
@@ -577,8 +543,8 @@ def build_tree(features: np.ndarray, gradients: np.ndarray,
         raise ValueError("all instance weights are zero")
     g = np.asarray(gradients, dtype=np.float64) * weights
     h = np.asarray(hessians, dtype=np.float64) * weights
-    _, index = _split_index(features, rows)
-    return _fit_tree(features, g, h, rows, config, index)[0]
+    return _fit_tree(_splitter(features, rows, config), g, h, rows,
+                     config)[0]
 
 
 # --------------------------------------------------------------------------
@@ -678,19 +644,15 @@ def _logloss_terms(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.clip(p, _PROB_EPS, 1.0))
 
 
+# a round is evaluated only after ``step`` has fitted a positive weight, so
+# neither mean divides by zero
 def _weighted_mean_logloss(probs, labels, weights) -> float:
     terms = _logloss_terms(probs, labels)
-    total = weights.sum()
-    if total == 0:
-        return 0.0
-    return float((terms * weights).sum() / total)
+    return float((terms * weights).sum() / weights.sum())
 
 
 def _weighted_accuracy(predicted, labels, weights) -> float:
-    total = weights.sum()
-    if total == 0:
-        return 0.0
-    return float(((predicted == labels) * weights).sum() / total)
+    return float(((predicted == labels) * weights).sum() / weights.sum())
 
 
 class Booster:
@@ -749,7 +711,7 @@ class Booster:
                                      config.early_stop_patience)
                         if monitor is not None else None)
 
-        self.method, self.index = _split_index(features, np.arange(n))
+        self.splitter = _splitter(features, np.arange(n), config)
 
         self.dynamics = DynamicsLog(n, c, config.history_window)
         self.series = {k: [] for k in SERIES_COLUMNS}
@@ -808,9 +770,10 @@ class Booster:
             held_out.append((self.mon_features, self.raw_mon))
         trees = []
         for k in range(self.width):
-            tree, leaf_of_row = _fit_tree(features, self.g[:, k] * self.weights,
+            tree, leaf_of_row = _fit_tree(self.splitter,
+                                          self.g[:, k] * self.weights,
                                           self.h[:, k] * self.weights, rows,
-                                          cfg, self.index)
+                                          cfg)
             trees.append(tree)
             update = tree.value[leaf_of_row]
             if unfitted.size:
@@ -876,9 +839,8 @@ class Booster:
         """A copy that trains on independently of this booster.
 
         Mutable state is copied. Read-only state is shared: the datasets, the
-        presort or Binner, the trees, the probabilities, gradients and the
-        labels they follow (each is replaced, never edited) and the recorded
-        EpochRecords.
+        splitter, the trees, the probabilities, gradients and the labels they
+        follow (each is replaced, never edited) and the recorded EpochRecords.
         """
         other = copy.copy(self)
         for name in ("raw", "raw_test", "raw_mon", "labels", "weights"):
@@ -901,7 +863,7 @@ class Booster:
         report = RunReport(
             config=asdict(self.config) | {
                 "objective_resolved": self.objective,
-                "tree_method_resolved": self.method},
+                "tree_method_resolved": self.splitter.method},
             rounds_trained=self.rounds_trained,
             best_round=best_round,
             stopped_early=self.stopped_early,

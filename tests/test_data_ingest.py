@@ -46,6 +46,15 @@ class TestLoadCsv:
         with pytest.raises(DataIngestError, match="ragged"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header", ["a,label,a,label", "a,label, a,b"])
+    def test_duplicate_header_name_fails_the_load(self, tmp_path, header):
+        # the table looks columns up by name, so a second column of a name
+        # would be dropped from the features or kept under a clashing name
+        path = write_csv(tmp_path, header + "\n1,0,2,1\n3,1,4,0\n")
+        with pytest.raises(DataIngestError,
+                           match="column 'a' appears twice in the header"):
+            load_csv(path)
+
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(DataIngestError):
             load_csv(tmp_path / "nope.csv")

@@ -82,6 +82,20 @@ class TestConfig:
         # caught here rather than by the stratified split in every group
         ({"subsample": 0}, "^subsample must be at least 1$"),
         ({"subsample": -5}, "^subsample must be at least 1$"),
+        ({"jobs": 0}, "^jobs must be at least 1$"),
+        ({"jobs": -4}, "^jobs must be at least 1$"),
+        # cells of a repeated entry would write one output directory, and
+        # a cell directory names its rate by two decimals
+        ({"noise_rates": [0.3, 0.301]},
+         r"^noise_rates \(to two decimals\) lists '0.30' twice$"),
+        ({"noise_rates": [0.1, 0.2, 0.1]},
+         r"^noise_rates \(to two decimals\) lists '0.10' twice$"),
+        ({"noise_kinds": ["pair", "pair"]},
+         "^noise_kinds lists 'pair' twice$"),
+        ({"detectors": ["lrt", "aum", "lrt"]},
+         "^detectors lists 'lrt' twice$"),
+        ({"corrections": ["remove", "remove"]},
+         "^corrections lists 'remove' twice$"),
     ])
     def test_cell_errors_caught_at_load(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -283,6 +297,31 @@ class TestStages:
         (row,) = run_stage3(cfg)["detection"]
         assert row["value"] == round(float(np.mean(best)), 2)
         assert row["note"].endswith(f"std={float(np.std(best)):.2f}")
+
+    def test_stage3_tabulates_the_configured_corrections_only(self, tmp_path):
+        # relabel reports left in the stage-2 directory by an earlier run
+        # enter no table of a config that lists remove alone
+        def config(corrections):
+            return tiny_config(tmp_path, subsample=400, noise_rates=(0.3,),
+                               detectors=("gradients",),
+                               corrections=corrections, monitor="none",
+                               boost=BoostConfig(n_rounds=20,
+                                                 warmup_rounds=15))
+        reports = run_stage2(config(("remove", "relabel")))
+        tables = run_stage3(config(("remove",)))
+        assert [(r["correction"], r["detection"], r["metric"])
+                for r in tables["classification"]] == [
+            (correction, detector, metric)
+            for correction, detector in (("none", "none"),
+                                         ("remove", "gradients"))
+            for metric in ("accuracy", "precision", "recall", "f1")]
+        (removal,) = [r for r in reports if r.correction == "remove"]
+        accuracy = removal.evaluation["early_stop"]["methods"]["gradients"]
+        (row,) = tables["detection"]
+        assert row["value"] == round(100.0 * accuracy["accuracy"], 2)
+        with open(os.path.join(tables["out_dir"],
+                               "classification_tables.csv")) as fh:
+            assert "relabel" not in fh.read()
 
 
 def _comparable(report):
@@ -681,7 +720,7 @@ class TestCli:
     @pytest.mark.parametrize("overrides", [
         {"boost": {"n_round": 10}}, {"split": {"test_frac": 0.3}},
         {"boost": 5}, {"noise_rates": 0.3}, {"boost": {"n_rounds": "30"}},
-        {"subsample": 0}])
+        {"subsample": 0}, {"noise_rates": [0.3, 0.301]}, {"jobs": -4}])
     def test_print_config_rejects_bad_sections(self, tmp_path, overrides):
         cfg = self.write_cfg(tmp_path, **overrides)
         proc = run_cli(["run", "--config", str(cfg), "--print-config"])

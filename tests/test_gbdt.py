@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,8 @@ from noisygbdt.metrics_report import classification_metrics
 from noisygbdt.gbdt import (Binner, BoostConfig, Booster, EarlyStopper,
                             Ensemble, TrainingDivergedError, Tree,
                             _ExactSplitter, _HistSplitter, _fit_tree,
-                            _midpoint, _presort,
-                            _split_gains, build_tree, grad_hess, leaf_value,
-                            probabilities, train)
+                            _midpoint, _split_gains, _splitter, build_tree,
+                            grad_hess, leaf_value, probabilities, train)
 
 
 class TestProbabilities:
@@ -169,10 +170,12 @@ class TestBuildTree:
 
 
 class TestTreeGrower:
-    @pytest.mark.parametrize("index", ["Binner", "_presort"])
-    def test_every_leaf_is_reached_by_a_fitted_row(self, index):
+    @pytest.mark.parametrize("method", ["hist", "exact"])
+    def test_every_leaf_is_reached_by_a_fitted_row(self, method, monkeypatch):
         # a cut past every fitted row of a node would split off an empty
         # leaf of value 0 that only held-out or zero-weight rows reach
+        monkeypatch.setattr(gbdt, "_HIST_THRESHOLD",
+                            0 if method == "hist" else 10**9)
         rng = np.random.default_rng(11)
         cfg = BoostConfig()
         for _ in range(300):
@@ -183,11 +186,32 @@ class TestTreeGrower:
             rows = np.flatnonzero(rng.random(n) < 0.8)
             if rows.size == 0:
                 rows = np.arange(n)
-            tree, leaf_of_row = _fit_tree(
-                x, g[:, 0], h[:, 0], rows, cfg,
-                Binner(x, rows) if index == "Binner" else _presort(x))
+            splitter = _splitter(x, rows, cfg)
+            assert splitter.method == method
+            tree, leaf_of_row = _fit_tree(splitter, g[:, 0], h[:, 0], rows,
+                                          cfg)
             leaves = np.flatnonzero(tree.feature < 0)
             assert set(leaves.tolist()) == set(leaf_of_row[rows].tolist())
+
+    @pytest.mark.parametrize("method", ["hist", "exact"])
+    def test_grown_tree_leaves_no_reference_cycle(self, method, monkeypatch):
+        # arrays held by a cycle wait for a full garbage collection, and a
+        # run's trees then pile up their gradients in memory
+        monkeypatch.setattr(gbdt, "_HIST_THRESHOLD",
+                            0 if method == "hist" else 10**9)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(300, 3))
+        g, h, rows = rng.normal(size=300), np.ones(300), np.arange(300)
+        cfg = BoostConfig()
+        splitter = _splitter(x, rows, cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            tree, _ = _fit_tree(splitter, g, h, rows, cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert tree.n_nodes > 15
 
 
 def _reference_best_split(self, rows, g, h, g_total, h_total):
@@ -244,7 +268,7 @@ class TestExactSplitterOracle:
     def _search(splitter, rows, g, h):
         """The search at the grower's seam, and the node's sums."""
         stats = splitter.node_stats(rows, g, h)
-        return splitter.search(rows, g, h, stats), stats[:2]
+        return splitter.best_split(stats, g, h), stats[:2]
 
     def test_matches_per_feature_loop(self):
         splits = 0
@@ -252,7 +276,7 @@ class TestExactSplitterOracle:
             x, g, h, rows = self._case(seed)
             # l2_reg 0 only without zero hessians: 0/0 gains are tested apart
             lam = (0.0, 1.0)[seed % 2] if h[rows].min() > 0 else 1.0
-            splitter = _ExactSplitter(x, BoostConfig(l2_reg=lam), _presort(x))
+            splitter = _ExactSplitter(x, BoostConfig(l2_reg=lam))
             got, totals = self._search(splitter, rows, g, h)
             assert got == _reference_best_split(splitter, rows, g, h,
                                                 *totals), seed
@@ -276,7 +300,7 @@ class TestExactSplitterOracle:
         for x, rows in cases:
             g = np.linspace(-1.0, 1.0, len(x))
             h = np.ones(len(x))
-            splitter = _ExactSplitter(x, cfg, _presort(x))
+            splitter = _ExactSplitter(x, cfg)
             got, totals = self._search(splitter, rows, g, h)
             assert got == _reference_best_split(splitter, rows, g, h, *totals)
 
@@ -285,7 +309,7 @@ class TestExactSplitterOracle:
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         g = np.array([0.0, -1.0, 1.0, 1.0])
         h = np.array([0.0, 1.0, 1.0, 1.0])
-        splitter = _ExactSplitter(x, BoostConfig(l2_reg=0.0), _presort(x))
+        splitter = _ExactSplitter(x, BoostConfig(l2_reg=0.0))
         (gain, feature, threshold), totals = self._search(
             splitter, np.arange(4), g, h)
         assert totals == (1.0, 3.0)
@@ -300,10 +324,11 @@ class TestExactSplitterOracle:
         ds = train_ds.with_noise(noisy)
         cfg = BoostConfig(n_rounds=12)
         new = train(ds, cfg).ensemble.to_dict()
+        # a node's rows in ascending order: its first sorted block, sorted
         monkeypatch.setattr(
-            _ExactSplitter, "search",
-            lambda self, rows, g, h, stats: _reference_best_split(
-                self, rows, g, h, *stats[:2]))
+            _ExactSplitter, "best_split",
+            lambda self, stats, g, h: _reference_best_split(
+                self, np.sort(stats[2][0]), g, h, *stats[:2]))
         assert train(ds, cfg).ensemble.to_dict() == new
 
     def test_child_blocks_equal_fresh_node_blocks(self):
@@ -312,9 +337,9 @@ class TestExactSplitterOracle:
         children = 0
         for seed in range(300):
             x, g, h, rows = self._case(seed)
-            splitter = _ExactSplitter(x, BoostConfig(), _presort(x))
+            splitter = _ExactSplitter(x, BoostConfig())
             stats = splitter.node_stats(rows, g, h)
-            _, feat, cut = splitter.search(rows, g, h, stats)
+            _, feat, cut = splitter.best_split(stats, g, h)
             if feat is None:
                 # no gain anywhere: cut a random column at its median
                 feat = int(np.random.default_rng(seed).integers(x.shape[1]))
@@ -338,7 +363,8 @@ class TestExactSplitterOracle:
         cfg = BoostConfig(max_depth=4)
 
         def tree():
-            tree, leaf_of_row = _fit_tree(x, g, h, rows, cfg, _presort(x))
+            tree, leaf_of_row = _fit_tree(_ExactSplitter(x, cfg), g, h,
+                                          rows, cfg)
             return tree.to_dict(), leaf_of_row.tolist()
 
         shortcut = tree()
@@ -374,13 +400,14 @@ def _reference_hist_gains(binner, lam, gh, hh, g_total, h_total):
 
 
 def _reference_hist_split(binner, lam, gh, hh, g_total, h_total):
-    """The stride-256 search: one row-major argmax over every gain."""
+    """The stride-256 search: one row-major argmax over every gain; the
+    best bin is given as its cut."""
     gains = _reference_hist_gains(binner, lam, gh, hh, g_total, h_total)
     j, bin_idx = divmod(int(np.argmax(gains)), 255)
     gain = float(gains[j, bin_idx])
     if gain == -np.inf:
         return -np.inf, None, None
-    return gain, j, bin_idx
+    return gain, j, float(binner.cuts[j][bin_idx])
 
 
 def _spread(binner, hist):
@@ -447,7 +474,7 @@ class TestHistSplitterOracle:
                 assert np.array_equal(_spread(binner, gh), ref_g), seed
                 assert np.array_equal(_spread(binner, hh), ref_h), seed
                 g_total, h_total = float(g[r].sum()), float(h[r].sum())
-                got = splitter.best_split((gh, hh), g_total, h_total)
+                got = splitter.best_split((g_total, h_total, gh, hh), g, h)
                 assert got == _reference_hist_split(
                     binner, 1.0, ref_g, ref_h, g_total, h_total), seed
                 splits += got[1] is not None
@@ -471,12 +498,12 @@ class TestHistSplitterOracle:
         binner = Binner(x, rows)
         assert len({w for _, _, w in binner.blocks}) == 3
         splitter = _HistSplitter(binner, BoostConfig())
-        got = splitter.best_split(splitter.node_hists(rows, g, h),
-                                  float(g.sum()), 400.0)
+        got = splitter.best_split(
+            (float(g.sum()), 400.0, *splitter.node_hists(rows, g, h)), g, h)
         assert got == _reference_hist_split(
             binner, 1.0, *_reference_hists(binner, rows, g, h),
             float(g.sum()), 400.0)
-        assert got[1:] == (0, 0)
+        assert got[1:] == (0, binner.cuts[0][0])
 
 
     def test_edge_cases_match(self):
@@ -494,8 +521,8 @@ class TestHistSplitterOracle:
             binner = Binner(x, rows)
             splitter = _HistSplitter(binner, BoostConfig())
             totals = float(g.sum()), float(len(x))
-            got.append(splitter.best_split(splitter.node_hists(rows, g, h),
-                                           *totals))
+            got.append(splitter.best_split(
+                (*totals, *splitter.node_hists(rows, g, h)), g, h))
             assert got[-1] == _reference_hist_split(
                 binner, 1.0, *_reference_hists(binner, rows, g, h), *totals)
         assert got[0] == (-np.inf, None, None)
@@ -503,7 +530,8 @@ class TestHistSplitterOracle:
 
     @staticmethod
     def _tree(x, g, h, rows, cfg):
-        tree, leaf_of_row = _fit_tree(x, g, h, rows, cfg, Binner(x, rows))
+        tree, leaf_of_row = _fit_tree(
+            _HistSplitter(Binner(x, rows), cfg), g, h, rows, cfg)
         return tree.to_dict(), leaf_of_row.tolist()
 
     @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
@@ -557,6 +585,26 @@ class TestHistSplitterOracle:
             lambda self, *args, leaves: full(self, *args, leaves=False))
         assert self._tree(x, g, h, rows, cfg) == shortcut
         assert len(shortcut[0]["feature"]) > 15   # leaves at max_depth
+
+    @pytest.mark.properties
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=30, deadline=None)
+    def test_every_cut_finds_its_own_bin(self, seed):
+        # partition maps a threshold back to its bin by searchsorted, which
+        # needs each feature's cuts strictly increasing: distinct-value
+        # midpoints, down to adjacent floats, and tied quantiles
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 1500))
+        cols = [rng.integers(0, int(rng.integers(1, 300)), n) * 0.5,
+                1.0 + np.spacing(1.0) * rng.integers(0, 6, n),
+                np.round(rng.normal(size=n), int(rng.integers(0, 4))),
+                rng.exponential(size=n) * (rng.random(n) < 0.6)]
+        x = np.column_stack(cols)
+        rows = np.flatnonzero(rng.random(n) < 0.9)
+        binner = Binner(x, rows if rows.size else np.arange(n))
+        for cuts in binner.cuts:
+            assert np.array_equal(np.searchsorted(cuts, cuts),
+                                  np.arange(len(cuts)))
 
 
 class TestEarlyStopper:
@@ -722,7 +770,7 @@ class TestBooster:
         booster = Booster(ds, cfg)
         booster.weights[::9] = 0.0
         weights = booster.weights.copy()
-        assert booster.method == method
+        assert booster.splitter.method == method
         while not booster.done:
             booster.run(remove_some, until=booster.rounds_trained + 1)
             expected = booster.ensemble.raw_scores(ds.features)
