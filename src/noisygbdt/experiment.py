@@ -33,7 +33,8 @@ from .data_ingest import (SplitSpec, load_csv, prepare, stratified_mask,
                           subsample_table)
 from .gbdt import Booster, BoostConfig
 from .metrics_report import (RunReport, detection_report, load_report,
-                             write_tables_csv, write_report)
+                             prediction_type_counts, write_tables_csv,
+                             write_report)
 
 MONITORS = ("none", "clean_test", "noisy_val")
 
@@ -264,7 +265,8 @@ def _step(booster: Booster, riding: dict, results: list) -> bool:
 def _ride(booster: Booster, riding: dict, handlers: list,
           results: list) -> None:
     """Train ``booster`` on for the cells in ``riding`` and put each one's
-    report, or the exception that failed it, into ``results``.
+    report and training argmaxes, or the exception that failed it, into
+    ``results``. Keeping no dynamics lets each fork's be freed at its end.
 
     ``riding`` maps a cell to its own labels and weights, which its handler
     edits and which equal the booster's. Each round every riding cell's
@@ -306,7 +308,8 @@ def _ride(booster: Booster, riding: dict, handlers: list,
         if not riding or not _step(booster, riding, results):
             return
     for i in riding:
-        results[i] = booster.result().report
+        result = booster.result()
+        results[i] = result.report, result.predicted
 
 
 def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
@@ -330,6 +333,10 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
     takes it instead of a fork, so a one-cell group copies nothing. Cells
     that ride a booster to its end, or to an early stop, take its result.
 
+    Training and correction act without the ground truth. It is used here:
+    reports are scored against the injected noise, and prediction types
+    count against the original noisy labels, whatever a cell relabeled.
+
     Returns one entry per cell, in order: its RunReport, or the exception
     the cell raised, so one failing cell does not cost the others. A handler
     that raises fails its own cell. An exception from a booster's step fails
@@ -347,13 +354,15 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
     results: list = [None] * len(cells)
     _ride(trunk, {i: (trunk.labels.copy(), trunk.weights.copy())
                   for i in range(len(cells))}, handlers, results)
-    for i, ((detector, correction), handler, report) in enumerate(
+    for i, ((detector, correction), handler, result) in enumerate(
             zip(cells, handlers, results)):
-        if isinstance(report, Exception):
+        if isinstance(result, Exception):
             continue
+        report, predicted = result
+        results[i] = report
         try:
-            # training and correction act without the ground truth; it is
-            # used here
+            report.prediction_types = prediction_type_counts(
+                predicted, fit_ds.clean_labels, fit_ds.noisy_labels)
             report.empirical_noise_rate = float(fit_ds.noise_mask.mean())
             (report.detector_series, report.evaluation, report.detector_peaks,
              report.correction_events) = detection_report(

@@ -6,11 +6,11 @@ a trained prefix. The trainer exposes everything the noise detectors
 consume: per-round logits, probabilities, predictions, and per-instance
 gradients are recorded into a DynamicsLog, and an optional per-round callback
 may zero instance weights or rewrite labels in place, and that round's trees
-fit the edited arrays. Training and the callback use the noisy labels alone
-(the clean training labels only feed the report's prediction-type counts),
-and the trainer does not score detector flags: the experiment layer does
-that against the injected noise (``metrics_report.detection_report``).
-Training scores are updated from the grower's leaf partition; only
+fit the edited arrays. Of the fit set the trainer reads features and noisy
+labels alone; the experiment layer scores the kept per-round training argmax
+and the callback's flags against the injected noise (``metrics_report``).
+The test set's clean labels feed its series, early stopping and the final
+metrics. Training scores are updated from the grower's leaf partition; only
 zero-weight rows and held-out sets go through ``Tree.predict``.
 
 The fit size picks the split search, with no setting to override it: up to
@@ -40,14 +40,13 @@ shape.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data_ingest import Dataset
 from .dynamics import DynamicsLog, EpochRecord
-from .metrics_report import (SERIES_COLUMNS, RunReport, classification_metrics,
-                             prediction_type_counts)
+from .metrics_report import SERIES_COLUMNS, RunReport, classification_metrics
 
 # histogram splits above this many fitted rows, exact splits up to it
 _HIST_THRESHOLD = 2048
@@ -123,6 +122,14 @@ def probabilities(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def expand_logits(raw: np.ndarray) -> np.ndarray:
+    """A new (n, c) logit array from (n, width) raw scores: a logistic
+    score z becomes the row [0, z]."""
+    if raw.shape[1] == 1:
+        return np.concatenate([np.zeros_like(raw), raw], axis=1)
+    return raw.copy()
+
+
 def grad_hess(probs: np.ndarray,
               labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy gradient and hessian of the raw scores, (n, width),
@@ -176,10 +183,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray       # float64 leaf values (0 on internal nodes)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         node = np.zeros(features.shape[0], dtype=np.int32)
         while True:
@@ -192,15 +195,6 @@ class Tree:
             node[active] = np.where(go_left, self.left[node[active]],
                                     self.right[node[active]])
         return self.value[node]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -548,59 +542,6 @@ def build_tree(features: np.ndarray, gradients: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# ensemble
-# --------------------------------------------------------------------------
-
-@dataclass
-class Ensemble:
-    objective: str            # resolved: "softprob" | "logistic"
-    class_count: int
-    feature_count: int
-    rounds: list = field(default_factory=list)   # per round: list[Tree]
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
-
-    def raw_scores(self, features: np.ndarray) -> np.ndarray:
-        """(n, width) raw scores: one column for logistic, c for softprob."""
-        if features.shape[1] != self.feature_count:
-            raise ValueError(
-                f"feature width {features.shape[1]} does not match the "
-                f"trained width {self.feature_count}")
-        width = 1 if self.objective == "logistic" else self.class_count
-        out = np.zeros((features.shape[0], width))
-        for trees in self.rounds:
-            for k, tree in enumerate(trees):
-                out[:, k] += tree.predict(features)
-        return out
-
-    def predict(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class logits (n, c) and probabilities (n, c)."""
-        raw = self.raw_scores(features)
-        return expand_logits(raw), probabilities(raw)
-
-    def truncated(self, n_rounds: int) -> "Ensemble":
-        return replace(self, rounds=self.rounds[:n_rounds])
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "class_count": self.class_count,
-            "feature_count": self.feature_count,
-            "rounds": [[t.to_dict() for t in trees] for trees in self.rounds],
-        }
-
-
-def expand_logits(raw: np.ndarray) -> np.ndarray:
-    """A new (n, c) logit array from (n, width) raw scores: a logistic
-    score z becomes the row [0, z]."""
-    if raw.shape[1] == 1:
-        return np.concatenate([np.zeros_like(raw), raw], axis=1)
-    return raw.copy()
-
-
-# --------------------------------------------------------------------------
 # early stopping
 # --------------------------------------------------------------------------
 
@@ -634,7 +575,8 @@ class EarlyStopper:
 
 @dataclass
 class TrainResult:
-    ensemble: Ensemble
+    trees: list       # per round to the best: a list of Tree, one per column
+    predicted: list   # per trained round: the training-set argmax
     dynamics: DynamicsLog
     report: RunReport
 
@@ -661,7 +603,7 @@ class Booster:
     A booster owns the raw scores of the training, test and monitored sets,
     the current labels and weights, the probabilities and gradients that are
     the next round's inputs, the DynamicsLog, the early stopper, the
-    per-round series and the ensemble. ``fork`` copies that state, so several
+    per-round series, trees and argmaxes. ``fork`` copies it, so several
     runs can continue from one trained prefix; ``result`` reports the run.
     ``step`` trains one round and ``run`` steps on until the end, calling
     its callback between steps. A caller may edit ``labels`` and ``weights``
@@ -693,20 +635,28 @@ class Booster:
         self.labels = dataset.noisy_labels.astype(np.int64).copy()
         self.weights = np.ones(n)
 
-        self.ensemble = Ensemble(objective=self.objective, class_count=c,
-                                 feature_count=features.shape[1])
         self.raw = np.zeros((n, self.width))
         self.raw_test = self.raw_mon = self.mon_features = None
+        held_out = {}
         if test is not None:
             self.raw_test = np.zeros((len(test), self.width))
-        if monitor == "test":
+            held_out["test"] = test.features
+        if isinstance(monitor, str):
             # the monitored loss is read off the test scores
-            if test is None:
-                raise ValueError('monitor="test" requires a test dataset')
+            if monitor != "test" or test is None:
+                raise ValueError('monitor must be "test", with a test '
+                                 'dataset, or a (features, labels) pair')
             self.mon_labels = test.clean_labels
         elif monitor is not None:
-            self.mon_features, self.mon_labels = monitor
+            self.mon_features, self.mon_labels = map(np.asarray, monitor)
+            if len(self.mon_features) != len(self.mon_labels):
+                raise ValueError("the monitor pair's lengths differ")
+            held_out["monitor"] = self.mon_features
             self.raw_mon = np.zeros((len(self.mon_labels), self.width))
+        for name, x in held_out.items():
+            if x.ndim != 2 or x.shape[1] != features.shape[1]:
+                raise ValueError(f"{name} feature width does not match the "
+                                 f"trained width {features.shape[1]}")
         self.stopper = (EarlyStopper(config.early_stop_min_delta,
                                      config.early_stop_patience)
                         if monitor is not None else None)
@@ -715,9 +665,8 @@ class Booster:
 
         self.dynamics = DynamicsLog(n, c, config.history_window)
         self.series = {k: [] for k in SERIES_COLUMNS}
-        self.pred_types = {"true_match": [], "noisy_match": [], "other": []}
-        self.has_noise = bool(
-            (dataset.clean_labels != dataset.noisy_labels).any())
+        self.trees = []      # per round: one Tree per score column
+        self.predicted = []  # per round: the training argmax, never edited
         self.stopped_early = False
         self.rounds_trained = 0
         self.best_test_predicted = None
@@ -781,7 +730,7 @@ class Booster:
             self.raw[:, k] += update
             for x, scores in held_out:
                 scores[:, k] += tree.predict(x)
-        self.ensemble.rounds.append(trees)
+        self.trees.append(trees)
         self.rounds_trained = t + 1
         self._evaluate(t)
 
@@ -797,6 +746,8 @@ class Booster:
                         predicted=predicted,
                         max_abs_gradient=np.abs(self.g).max(axis=1)),
             self.labels)
+        self.predicted.append(
+            predicted.astype(np.min_scalar_type(probs.shape[1] - 1)))
 
         train_loss = _weighted_mean_logloss(probs, self.labels, self.weights)
         if not np.isfinite(train_loss):
@@ -815,13 +766,6 @@ class Booster:
             series["test_accuracy"].append(float(
                 (test_predicted == self.test.clean_labels).mean()))
 
-        if self.has_noise:
-            counts = prediction_type_counts(predicted,
-                                            self.dataset.clean_labels,
-                                            self.dataset.noisy_labels)
-            for key, val in counts.items():
-                self.pred_types[key].append(val)
-
         if self.stopper is not None:
             mon_probs = (test_probs if self.raw_mon is None
                          else probabilities(self.raw_mon))
@@ -839,8 +783,8 @@ class Booster:
         """A copy that trains on independently of this booster.
 
         Mutable state is copied. Read-only state is shared: the datasets, the
-        splitter, the trees, the probabilities, gradients and the labels they
-        follow (each is replaced, never edited) and the recorded EpochRecords.
+        splitter, the trees, argmaxes, probabilities, gradients and the labels
+        they follow and the recorded EpochRecords (none is ever edited).
         """
         other = copy.copy(self)
         for name in ("raw", "raw_test", "raw_mon", "labels", "weights"):
@@ -850,14 +794,14 @@ class Booster:
         other.dynamics = self.dynamics.copy()
         other.stopper = copy.copy(self.stopper)
         other.series = {k: list(v) for k, v in self.series.items()}
-        other.pred_types = {k: list(v) for k, v in self.pred_types.items()}
-        other.ensemble = replace(self.ensemble,
-                                 rounds=list(self.ensemble.rounds))
+        other.trees = list(self.trees)
+        other.predicted = list(self.predicted)
         return other
 
     def result(self) -> TrainResult:
-        """The ensemble truncated to the best monitored round (the last round
-        without monitoring), the DynamicsLog and the run's report."""
+        """The trees up to the best monitored round (the last round without
+        monitoring), every round's argmax, the DynamicsLog and the report,
+        which has no prediction types (``run_group`` counts them)."""
         best_round = (self.stopper.best_round if self.stopper is not None
                       else self.rounds_trained - 1)
         report = RunReport(
@@ -868,13 +812,13 @@ class Booster:
             best_round=best_round,
             stopped_early=self.stopped_early,
             series={k: v for k, v in self.series.items() if v},
-            prediction_types=self.pred_types,
         )
         if self.test is not None:
             report.final = classification_metrics(
                 self.best_test_predicted, self.test.clean_labels,
                 self.dataset.class_count)
-        return TrainResult(ensemble=self.ensemble.truncated(best_round + 1),
+        return TrainResult(trees=self.trees[:best_round + 1],
+                           predicted=list(self.predicted),
                            dynamics=self.dynamics, report=report)
 
 
@@ -893,8 +837,8 @@ def train(dataset: Dataset, config: BoostConfig, callback=None, *,
 
     ``monitor`` selects early stopping: None disables it, "test" monitors the
     summed log-loss on the clean test set, and an (features, labels) pair
-    monitors a held-out set. The returned ensemble is truncated to the best
-    monitored round.
+    monitors a held-out set with the training columns. The returned trees stop
+    at the best monitored round; ``predicted`` covers every round.
     """
     config.validate(with_callback=callback is not None)
     return Booster(dataset, config, test=test,

@@ -127,19 +127,21 @@ def detection_report(flag_rounds: list, events: list, noise_mask: np.ndarray,
     return series, evaluation, peaks, events
 
 
-def prediction_type_counts(predictions: np.ndarray, clean_labels: np.ndarray,
-                           noisy_labels: np.ndarray) -> dict[str, int]:
-    """Categorize predictions on instances whose clean and noisy labels differ:
-    matches the clean label, matches the noisy label, or neither."""
-    predictions = np.asarray(predictions)
-    clean = np.asarray(clean_labels)
-    noisy = np.asarray(noisy_labels)
+def prediction_type_counts(predicted: list, clean_labels: np.ndarray,
+                           noisy_labels: np.ndarray) -> dict[str, list[int]]:
+    """Per round of ``predicted`` argmaxes, count instances whose clean and
+    noisy labels differ by whether their prediction matches the clean label,
+    the noisy one, or neither; with no such instance every list is empty."""
+    clean, noisy = np.asarray(clean_labels), np.asarray(noisy_labels)
     mask = clean != noisy
-    p, c, y = predictions[mask], clean[mask], noisy[mask]
-    true_match = int((p == c).sum())
-    noisy_match = int((p == y).sum())
+    if not mask.any() or not predicted:
+        return {"true_match": [], "noisy_match": [], "other": []}
+    p = np.stack([round_predicted[mask] for round_predicted in predicted])
+    true_match = (p == clean[mask]).sum(axis=1)
+    noisy_match = (p == noisy[mask]).sum(axis=1)
     other = int(mask.sum()) - true_match - noisy_match
-    return {"true_match": true_match, "noisy_match": noisy_match, "other": other}
+    return {"true_match": true_match.tolist(),
+            "noisy_match": noisy_match.tolist(), "other": other.tolist()}
 
 
 @dataclass

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from noisygbdt.data_ingest import Dataset
+from noisygbdt.gbdt import Tree
 
 
 def make_dataset(features, clean_labels, noisy_labels=None,
@@ -15,6 +18,15 @@ def make_dataset(features, clean_labels, noisy_labels=None,
                  instance_ids=np.arange(len(clean), dtype=np.int64))
     ds.validate()
     return ds
+
+
+def as_lists(trees):
+    """A Tree, or nested lists of them, with each Tree as a dict of its
+    arrays' values, so that ``==`` compares trees field for field."""
+    if isinstance(trees, Tree):
+        return {f.name: getattr(trees, f.name).tolist()
+                for f in dataclasses.fields(Tree)}
+    return [as_lists(tree) for tree in trees]
 
 
 def blob_dataset(n=300, classes=3, n_features=4, seed=0, separation=6.0):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blob_dataset
+from conftest import as_lists, blob_dataset
 from noisygbdt import noise
 from noisygbdt.correct import NoiseHandler, apply_relabel, apply_removal
 from noisygbdt.experiment import ExperimentConfig, run_cell
@@ -163,7 +163,7 @@ class TestNoiseHandler:
         cfg = BoostConfig(n_rounds=20, warmup_rounds=15)
         plain = train(ds, cfg)
         observed = train(ds, cfg, NoiseHandler(mode="none"))
-        assert plain.ensemble.to_dict() == observed.ensemble.to_dict()
+        assert as_lists(plain.trees) == as_lists(observed.trees)
         assert (plain.report.series["train_logloss"]
                 == observed.report.series["train_logloss"])
 

@@ -16,7 +16,7 @@ from noisygbdt.experiment import (ExperimentConfig, ExperimentError,
                                   prepare_data, run_cell, run_group,
                                   run_stage1, run_stage2, run_stage3)
 from noisygbdt.gbdt import Booster, BoostConfig, TrainingDivergedError
-from noisygbdt.metrics_report import load_report
+from noisygbdt.metrics_report import load_report, prediction_type_counts
 
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -376,8 +376,11 @@ def assert_cells_run_alone(cfg, data, cells) -> list:
                          cfg.seed)
         assert _comparable(report) == _comparable(alone), (det, corr)
         handler = experiment._handler(cfg, det, corr)
-        straight = Booster(fit_ds, cfg.boost, test=test_ds,
-                           monitor=monitor).run(handler).result().report
+        result = Booster(fit_ds, cfg.boost, test=test_ds,
+                         monitor=monitor).run(handler).result()
+        straight = result.report
+        straight.prediction_types = prediction_type_counts(
+            result.predicted, fit_ds.clean_labels, fit_ds.noisy_labels)
         assert _trained(report) == _trained(straight), (det, corr)
         assert report.correction_summary == handler.summary(), (det, corr)
     return group
@@ -442,6 +445,25 @@ class TestGroups:
             assert report.correction_events == []
             assert ({k: getattr(report, k) for k in keep}
                     == {k: getattr(group[0], k) for k in keep})
+
+    def test_prediction_types_count_against_the_original_noisy_labels(
+            self, tmp_path):
+        cfg = tiny_config(tmp_path, boost=BoostConfig(n_rounds=22,
+                                                      warmup_rounds=15))
+        train_ds, test_ds = prepare_data(cfg, cfg.seed)
+        fit_ds, monitor, _ = experiment._noisy_fit_set(cfg, train_ds, "pair",
+                                                       0.3, cfg.seed)
+        booster = Booster(fit_ds, cfg.boost, test=test_ds, monitor=monitor)
+        booster.run(experiment._handler(cfg, "confcorr", "relabel"))
+        assert (booster.labels != fit_ds.noisy_labels).any()
+        predicted = booster.result().predicted
+        report = run_cell(cfg, train_ds, test_ds, "pair", 0.3, "confcorr",
+                          "relabel", cfg.seed)
+        assert report.prediction_types == prediction_type_counts(
+            predicted, fit_ds.clean_labels, fit_ds.noisy_labels)
+        assert report.prediction_types != prediction_type_counts(
+            predicted, fit_ds.clean_labels, booster.labels)
+        assert len(report.prediction_types["other"]) == 22
 
     def test_jobs_do_not_change_reports(self, tmp_path):
         one = tiny_config(tmp_path / "a", noise_rates=(0.2, 0.3),

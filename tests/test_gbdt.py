@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -5,16 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blob_dataset, make_dataset, threshold_dataset
+from conftest import as_lists, blob_dataset, make_dataset, threshold_dataset
 from noisygbdt import gbdt, noise
 from noisygbdt.correct import NoiseHandler
 from noisygbdt.experiment import ExperimentConfig, prepare_data
 from noisygbdt.metrics_report import classification_metrics
 from noisygbdt.gbdt import (Binner, BoostConfig, Booster, EarlyStopper,
-                            Ensemble, TrainingDivergedError, Tree,
-                            _ExactSplitter, _HistSplitter, _fit_tree,
-                            _midpoint, _split_gains, _splitter, build_tree,
-                            grad_hess, leaf_value, probabilities, train)
+                            TrainingDivergedError, _ExactSplitter,
+                            _HistSplitter, _fit_tree, _midpoint, _split_gains,
+                            _splitter, build_tree, grad_hess, leaf_value,
+                            probabilities, train)
+
+
+def raw_scores(trees, features: np.ndarray) -> np.ndarray:
+    """(n, width) raw scores: each column sums its trees' predictions, round
+    by round."""
+    out = np.zeros((len(features), len(trees[0])))
+    for round_trees in trees:
+        for k, tree in enumerate(round_trees):
+            out[:, k] += tree.predict(features)
+    return out
 
 
 class TestProbabilities:
@@ -108,7 +119,7 @@ class TestBuildTree:
         g = np.ones(50)
         h = np.ones(50)
         tree = build_tree(x, g, h, np.ones(50), BoostConfig())
-        assert tree.n_nodes == 1
+        assert len(tree.feature) == 1
         assert tree.feature[0] == -1
 
     def test_perfect_split_found(self):
@@ -166,7 +177,7 @@ class TestBuildTree:
         keep = ~drop
         t_d = build_tree(x[keep], g[keep], h[keep], np.ones(keep.sum()),
                          BoostConfig())
-        assert t_w.to_dict() == t_d.to_dict()
+        assert as_lists(t_w) == as_lists(t_d)
 
 
 class TestTreeGrower:
@@ -211,7 +222,7 @@ class TestTreeGrower:
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert tree.n_nodes > 15
+        assert len(tree.feature) > 15
 
 
 def _reference_best_split(self, rows, g, h, g_total, h_total):
@@ -323,13 +334,13 @@ class TestExactSplitterOracle:
                                 noise.pair_matrix(2, 0.3), seed=7)
         ds = train_ds.with_noise(noisy)
         cfg = BoostConfig(n_rounds=12)
-        new = train(ds, cfg).ensemble.to_dict()
+        new = as_lists(train(ds, cfg).trees)
         # a node's rows in ascending order: its first sorted block, sorted
         monkeypatch.setattr(
             _ExactSplitter, "best_split",
             lambda self, stats, g, h: _reference_best_split(
                 self, np.sort(stats[2][0]), g, h, *stats[:2]))
-        assert train(ds, cfg).ensemble.to_dict() == new
+        assert as_lists(train(ds, cfg).trees) == new
 
     def test_child_blocks_equal_fresh_node_blocks(self):
         # a child's blocks compacted from its parent's are the presort
@@ -365,7 +376,7 @@ class TestExactSplitterOracle:
         def tree():
             tree, leaf_of_row = _fit_tree(_ExactSplitter(x, cfg), g, h,
                                           rows, cfg)
-            return tree.to_dict(), leaf_of_row.tolist()
+            return as_lists(tree), leaf_of_row.tolist()
 
         shortcut = tree()
         full = _ExactSplitter.child_stats
@@ -532,7 +543,7 @@ class TestHistSplitterOracle:
     def _tree(x, g, h, rows, cfg):
         tree, leaf_of_row = _fit_tree(
             _HistSplitter(Binner(x, rows), cfg), g, h, rows, cfg)
-        return tree.to_dict(), leaf_of_row.tolist()
+        return as_lists(tree), leaf_of_row.tolist()
 
     @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
     def test_crossover_does_not_change_the_tree(self, chunk, monkeypatch):
@@ -664,7 +675,7 @@ class TestTrain:
     def test_deterministic_retrain(self, blobs):
         r1 = train(blobs, BoostConfig(n_rounds=8, warmup_rounds=2))
         r2 = train(blobs, BoostConfig(n_rounds=8, warmup_rounds=2))
-        assert r1.ensemble.to_dict() == r2.ensemble.to_dict()
+        assert as_lists(r1.trees) == as_lists(r2.trees)
 
     @pytest.mark.properties
     def test_zero_weight_training_equals_deletion(self):
@@ -676,9 +687,7 @@ class TestTrain:
         booster.weights[drop] = 0.0
         res_w = booster.run().result()
         res_d = train(ds.take(~drop), cfg)
-        trees_w = [[t.to_dict() for t in r] for r in res_w.ensemble.rounds]
-        trees_d = [[t.to_dict() for t in r] for r in res_d.ensemble.rounds]
-        assert trees_w == trees_d
+        assert as_lists(res_w.trees) == as_lists(res_d.trees)
 
     def test_early_stopping_truncates_to_best_round(self):
         ds = blob_dataset(n=400, classes=2, seed=8, separation=1.0)
@@ -693,7 +702,8 @@ class TestTrain:
                                           early_stop_patience=5),
                     test=test_ds, monitor="test")
         assert res.report.stopped_early
-        assert res.ensemble.n_rounds == res.report.best_round + 1
+        assert len(res.trees) == res.report.best_round + 1
+        assert len(res.predicted) == res.report.rounds_trained
         assert res.report.rounds_trained > res.report.best_round
 
     def test_nan_loss_aborts_with_diagnostic(self, separable, monkeypatch):
@@ -725,7 +735,7 @@ class TestTrain:
                         monitor=(test_ds.features, test_ds.clean_labels))
         assert (by_name.report.series["monitor_logloss"]
                 == by_pair.report.series["monitor_logloss"])
-        assert by_name.ensemble.to_dict() == by_pair.ensemble.to_dict()
+        assert as_lists(by_name.trees) == as_lists(by_pair.trees)
         assert by_name.report.stopped_early
 
     def test_warmup_validation_only_with_callback(self, separable):
@@ -757,7 +767,7 @@ class TestBooster:
                                                    monkeypatch):
         # weights zeroed before the first round plus a removal each round: the
         # cached training scores must equal summing Tree.predict over the
-        # ensemble, bit for bit
+        # trees, bit for bit
         ds = blob_dataset(n=240, classes=classes, seed=5, separation=1.0)
         if method == "hist":
             monkeypatch.setattr(gbdt, "_HIST_THRESHOLD", 0)
@@ -773,7 +783,7 @@ class TestBooster:
         assert booster.splitter.method == method
         while not booster.done:
             booster.run(remove_some, until=booster.rounds_trained + 1)
-            expected = booster.ensemble.raw_scores(ds.features)
+            expected = raw_scores(booster.result().trees, ds.features)
             assert np.array_equal(booster.raw, expected)
         assert (booster.weights == 0).sum() > (weights == 0).sum()
 
@@ -788,12 +798,12 @@ class TestBooster:
         booster.labels[::5] = (booster.labels[::5] + 1) % 3
         g, h = grad_hess(booster.probs, booster.labels)
         booster.step()
-        for k, tree in enumerate(booster.ensemble.rounds[1]):
+        for k, tree in enumerate(booster.result().trees[1]):
             fresh = build_tree(ds.features, g[:, k], h[:, k],
                                booster.weights, cfg)
             stale = build_tree(ds.features, stale_g[:, k], stale_h[:, k],
                                booster.weights, cfg)
-            assert tree.to_dict() == fresh.to_dict() != stale.to_dict()
+            assert as_lists(tree) == as_lists(fresh) != as_lists(stale)
 
     def test_final_metrics_read_off_the_best_round(self):
         train_ds, test_ds = _noisy_blobs()
@@ -802,22 +812,24 @@ class TestBooster:
         assert res.report.stopped_early
         assert res.report.best_round < res.report.rounds_trained - 1
         again = classification_metrics(
-            res.ensemble.predict(test_ds.features)[1].argmax(axis=1),
+            probabilities(raw_scores(res.trees, test_ds.features)).argmax(
+                axis=1),
             test_ds.clean_labels, 3)
         assert res.report.final == again
 
     @staticmethod
     def _forked_and_independent(ds, test, cfg, monitor, handlers):
         """Per handler factory: (forked run, independent run), each as
-        (ensemble dict, report dict, events, flag rounds)."""
+        (trees, report dict, events, flag rounds, training argmaxes)."""
         prefix = Booster(ds, cfg, test=test, monitor=monitor).run(
             until=cfg.warmup_rounds)
 
         def outcome(res, handler):
-            return (res.ensemble.to_dict(), res.report.to_dict(),
+            return (as_lists(res.trees), res.report.to_dict(),
                     handler.events,
                     [(t, {m: f.tolist() for m, f in flags.items()})
-                     for t, flags in handler.flag_rounds])
+                     for t, flags in handler.flag_rounds],
+                    [p.tolist() for p in res.predicted])
 
         pairs = []
         for make in handlers:
@@ -872,16 +884,46 @@ class TestBooster:
             until=6)
         before = (prefix.raw.copy(), prefix.raw_test.copy(),
                   prefix.labels.copy(), prefix.dynamics.sum_label_prob.copy(),
-                  len(prefix.ensemble.rounds), len(prefix.dynamics.window))
+                  len(prefix.trees), len(prefix.predicted),
+                  len(prefix.dynamics.window))
         fork = prefix.fork().run(NoiseHandler(detectors=("aum",),
                                               mode="relabel"))
         assert np.array_equal(before[0], prefix.raw)
         assert np.array_equal(before[1], prefix.raw_test)
         assert np.array_equal(before[2], prefix.labels)
         assert np.array_equal(before[3], prefix.dynamics.sum_label_prob)
-        assert before[4:] == (len(prefix.ensemble.rounds),
+        assert before[4:] == (len(prefix.trees), len(prefix.predicted),
                               len(prefix.dynamics.window))
+        assert before[4:6] == (6, 6)
         assert prefix.rounds_trained == 6 and fork.rounds_trained == 12
+
+    @pytest.mark.parametrize("make", [
+        lambda: NoiseHandler(detectors=("aum",), mode="relabel"),
+        lambda: NoiseHandler(detectors=("lrt",), mode="remove")])
+    def test_training_reads_no_clean_training_label(self, make):
+        # the fit set's clean labels replaced by its noisy ones: every tree,
+        # argmax, recorded round and report field is the same
+        train_ds, test_ds = _noisy_blobs()
+        blind = dataclasses.replace(train_ds,
+                                    clean_labels=train_ds.noisy_labels)
+        cfg = BoostConfig(n_rounds=22, warmup_rounds=8, early_stop_patience=6,
+                          early_stop_min_delta=0.05)
+
+        def outcome(ds):
+            handler = make()
+            res = train(ds, cfg, handler, test=test_ds, monitor="test")
+            window = [(r.round, r.logits.tolist(), r.probs.tolist(),
+                       r.predicted.tolist(), r.max_abs_gradient.tolist())
+                      for r in res.dynamics.window]
+            return (as_lists(res.trees), [p.tolist() for p in res.predicted],
+                    window, res.report.to_dict(), handler.events)
+
+        seen, blinded = outcome(train_ds), outcome(blind)
+        assert seen == blinded
+        # the handler edited the arrays
+        assert [ev for ev in seen[4] if ev["action"] == "remove"
+                or ev["action"] == "relabel"
+                and ev["old_label"] != ev["new_label"]]
 
     def test_step_after_the_end_rejected(self, separable):
         booster = Booster(separable, BoostConfig(n_rounds=1))
@@ -891,29 +933,34 @@ class TestBooster:
 
 
 class TestPredictAndSerialize:
-    def test_empty_ensemble_uniform(self):
-        ens = Ensemble(objective="softprob", class_count=4, feature_count=2)
-        logits, probs = ens.predict(np.zeros((3, 2)))
-        assert np.allclose(logits, 0.0)
-        assert np.allclose(probs, 0.25)
-
-    def test_single_leaf_tree_shifts_logit(self):
-        tree = Tree(feature=np.array([-1], dtype=np.int32),
-                    threshold=np.zeros(1), left=np.array([-1], np.int32),
-                    right=np.array([-1], np.int32), value=np.array([0.7]))
-        ens = Ensemble(objective="logistic", class_count=2, feature_count=1,
-                       rounds=[[tree]])
-        logits, _ = ens.predict(np.zeros((5, 1)))
-        assert np.allclose(logits[:, 1], 0.7)
-        assert np.allclose(logits[:, 0], 0.0)
-
-    def test_predict_deterministic(self, blobs):
-        res = train(blobs, BoostConfig(n_rounds=5, warmup_rounds=2))
-        _, p1 = res.ensemble.predict(blobs.features)
-        _, p2 = res.ensemble.predict(blobs.features)
-        assert np.array_equal(p1, p2)
+    """Held-out inputs are checked against the fit set when a run starts."""
 
     def test_width_mismatch_errors(self, blobs):
-        res = train(blobs, BoostConfig(n_rounds=2, warmup_rounds=1))
-        with pytest.raises(ValueError, match="width"):
-            res.ensemble.predict(np.zeros((2, 99)))
+        # twice as wide, and one column wide
+        for width in (8, 1):
+            test = make_dataset(np.zeros((6, width)), np.arange(6) % 3)
+            for monitor in (None, "test"):
+                with pytest.raises(ValueError, match="test feature width"):
+                    train(blobs, BoostConfig(n_rounds=2), test=test,
+                          monitor=monitor)
+
+    @pytest.mark.parametrize("features", [np.zeros((6, 8)), np.zeros(6)])
+    def test_monitor_pair_width_mismatch_errors(self, blobs, features):
+        with pytest.raises(ValueError, match="monitor feature width"):
+            train(blobs, BoostConfig(n_rounds=2),
+                  monitor=(features, np.zeros(6, dtype=np.int64)))
+
+    def test_monitor_pair_length_mismatch_errors(self, blobs):
+        with pytest.raises(ValueError, match="lengths differ"):
+            train(blobs, BoostConfig(n_rounds=2),
+                  monitor=(blobs.features[:120], blobs.clean_labels[:50]))
+
+    @pytest.mark.parametrize("monitor", ["val", "ab"])
+    def test_unknown_monitor_name_errors(self, blobs, monitor):
+        with pytest.raises(ValueError, match="monitor must be"):
+            train(blobs, BoostConfig(n_rounds=2), test=blobs,
+                  monitor=monitor)
+
+    def test_monitor_test_without_a_test_set_errors(self, blobs):
+        with pytest.raises(ValueError, match="monitor must be"):
+            train(blobs, BoostConfig(n_rounds=2), monitor="test")

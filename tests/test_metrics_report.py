@@ -201,8 +201,9 @@ class TestPredictionTypes:
         clean = np.array([0, 0, 0, 1])
         noisy = np.array([1, 1, 1, 1])  # first three are noise-mask instances
         preds = np.array([0, 1, 2, 0])
-        counts = prediction_type_counts(preds, clean, noisy)
-        assert counts == {"true_match": 1, "noisy_match": 1, "other": 1}
+        counts = prediction_type_counts([preds, noisy], clean, noisy)
+        assert counts == {"true_match": [1, 0], "noisy_match": [1, 3],
+                          "other": [1, 0]}
 
     def test_counts_partition_mask(self):
         rng = np.random.default_rng(0)
@@ -210,14 +211,18 @@ class TestPredictionTypes:
         noisy = clean.copy()
         flip = rng.random(50) < 0.4
         noisy[flip] = (clean[flip] + 1) % 3
-        preds = rng.integers(0, 3, 50)
+        preds = [rng.integers(0, 3, 50).astype(np.uint8) for _ in range(4)]
         counts = prediction_type_counts(preds, clean, noisy)
-        assert sum(counts.values()) == int((clean != noisy).sum())
+        for t, p in enumerate(preds):
+            assert (sum(v[t] for v in counts.values())
+                    == int((clean != noisy).sum()))
+            assert counts["true_match"][t] == int(
+                ((p == clean) & (clean != noisy)).sum())
 
     def test_empty_mask(self):
         clean = np.array([0, 1])
-        counts = prediction_type_counts(clean, clean, clean)
-        assert counts == {"true_match": 0, "noisy_match": 0, "other": 0}
+        counts = prediction_type_counts([clean, 1 - clean], clean, clean)
+        assert counts == {"true_match": [], "noisy_match": [], "other": []}
 
 
 def sample_report():
