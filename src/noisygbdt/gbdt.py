@@ -20,16 +20,20 @@ features of a node searched in one vectorised pass), above that it uses
 histograms. A feature with at most 256 distinct fitted values is cut at every
 value, a wider one at quantiles; either way it gets one bin more than it has
 cuts, and its codes are stored once per run as ``uint8``, column-major and
-row-major (``Binner``). A node histogram has one compact block per group of
+row-major (``Binner``). Two-valued features whose minority rows never
+overlap, such as the columns of a one-hot categorical, share one row-major
+code column, a bundle. A node histogram has one compact block per group of
 features of similar bin count. Large nodes build each quantile-binned feature
-with its own ``bincount`` and the distinct-value features together in one
-interleaved pass; small nodes build every feature in that pass. The larger
-child is its parent minus its sibling, and children at ``max_depth`` get
-their gradient and hessian sums alone (``_HistSplitter``). The splitter is
-built once per training run (``_splitter``), and one recursive function
-(``_fit_tree``) grows every tree through four of its calls: ``node_stats``,
-``best_split``, ``partition`` and ``child_stats``. A split crosses that seam
-as a feature and a threshold, whichever search found it.
+with its own ``bincount`` and the other columns, bundles included, together
+in one interleaved pass; small nodes build every column in that pass. A
+bundle member keeps its own two bins: the minority one is its bundle's bin,
+the majority one the node total minus that. The larger child is its parent
+minus its sibling, and children at ``max_depth`` get their gradient and
+hessian sums alone (``_HistSplitter``). The splitter is built once per
+training run (``_splitter``), and one recursive function (``_fit_tree``)
+grows every tree through four of its calls: ``node_stats``, ``best_split``,
+``partition`` and ``child_stats``. A split crosses that seam as a feature
+and a threshold, whichever search found it.
 
 Two classes train one logistic tree per round, more classes one softmax tree
 per class. Raw scores, gradients and hessians are always (n, width) arrays,
@@ -292,23 +296,41 @@ class _ExactSplitter:
 
 class Binner:
     """Per-feature cut points fitted on ``fit_rows``, the bin codes of every
-    row, and the compact histogram layout.
+    row, exclusive-feature bundles and the compact histogram layout.
 
     A feature with at most ``_MAX_BINS`` (256) distinct fitted values is cut
     between each pair of them, a wider one at quantiles. Feature j has
     ``len(cuts[j]) + 1`` bins, at most 256, so its codes fit ``uint8``.
     ``codes_T`` holds them column-major (d, n), so one feature's codes of a
-    node are a contiguous gather; ``codes`` holds them row-major (n, d) with
-    the ``n_distinct`` distinct-value features first, so a row's codes of
-    those features are one slice, and ``order`` lists the features in
-    ``codes``' column order. A node histogram is one flat array of ``size``
-    bins with a block per group of features whose bin counts round up to the
-    same power of two: ``blocks`` holds each block's (start, stop, width),
-    a (k, width) array of its features in ascending order, each padded with
-    empty bins up to ``width``. ``offsets[j]`` is where feature j's bins
-    start. ``cut_pos`` lists the position of every real split candidate (the
-    last bin of a feature is none) feature by feature, and ``cut_feature``
-    and ``cut_bin`` name its feature and bin.
+    node are a contiguous gather.
+
+    Two-valued features whose minority rows never overlap form a bundle
+    (exclusive feature bundling, Ke et al., LightGBM, NeurIPS 2017): in
+    index order, each goes into the first bundle none of whose members has
+    a minority row in common with it, over every coded row, with at most 255
+    members per bundle. A feature's majority code is the more frequent of
+    its two (0 on a tie). A bundle's code is 0 on rows where every member
+    sits at its majority code and r where member r (from 1) does not; a
+    lone feature forms no bundle. Feature 0 is never bundled, since node
+    totals are read off its bins (``totals_row``). ``bundles`` lists each
+    bundle's members. ``codes`` holds the histogram build's code columns
+    row-major (n, k): the ``plain`` distinct-value features, then the
+    bundles, then the ``quantile`` features, so a row's codes of the
+    interleaved columns (the first ``n_interleaved``) are one slice;
+    ``column_offsets`` is where each column's bins start.
+
+    A node histogram is one flat array of ``size`` bins with a block per
+    group of features whose bin counts round up to the same power of two:
+    ``blocks`` holds each block's (start, stop, width), a (k, width) array
+    of its features in ascending order, each padded with empty bins up to
+    ``width``. ``offsets[j]`` is where feature j's bins start; a bundle
+    member keeps its own two bins there. The build adds the bundles' bins
+    past ``size``, up to ``hist_size``, and fills each member's slot from
+    them: its minority bin (at ``minority_pos``) is bundle bin
+    ``bundle_bins``, its majority bin (``majority_pos``) the node total
+    minus that. ``cut_pos`` lists the position of every real split
+    candidate (the last bin of a feature is none) feature by feature, and
+    ``cut_feature`` and ``cut_bin`` name its feature and bin.
     """
 
     def __init__(self, features: np.ndarray, fit_rows: np.ndarray):
@@ -349,9 +371,49 @@ class Binner:
         self.cut_pos = self.offsets[self.cut_feature] + self.cut_bin
         # node totals sum feature 0's padded row of its block
         self.totals_row = slice(self.offsets[0], self.offsets[0] + widths[0])
-        self.order = np.argsort(~distinct, kind="stable")
-        self.n_distinct = int(distinct.sum())
-        self.codes = np.ascontiguousarray(self.codes_T[self.order].T)
+
+        groups = []   # per bundle: its members' (feature, minority code)
+        taken = []    # and the rows where one of them is at its minority
+        for j in np.flatnonzero(self.n_bins[1:] == 2) + 1:
+            minority = int(2 * np.count_nonzero(self.codes_T[j]) <= n)
+            rows = np.flatnonzero(self.codes_T[j] == minority)
+            for members, used in zip(groups, taken):
+                if len(members) < 255 and not used[rows].any():
+                    break
+            else:
+                members, used = [], np.zeros(n, dtype=bool)
+                groups.append(members)
+                taken.append(used)
+            members.append((j, minority))
+            used[rows] = True
+        groups = [g for g in groups if len(g) > 1]
+        self.bundles = [np.array([j for j, _ in g]) for g in groups]
+        bundled = np.zeros(d, dtype=bool)
+        bundle_codes = np.zeros((len(groups), n), dtype=np.uint8)
+        bundle_offsets, bundle_bins = [], []
+        start = self.size
+        for code, group in zip(bundle_codes, groups):
+            bundle_offsets.append(start)
+            for r, (j, minority) in enumerate(group, 1):
+                code[self.codes_T[j] == minority] = r
+                bundled[j] = True
+                bundle_bins.append(start + r)
+            start += len(group) + 1
+        self.hist_size = start
+        self.bundle_bins = np.array(bundle_bins, dtype=np.intp)
+        member, minority = np.array([m for g in groups for m in g],
+                                    dtype=np.intp).reshape(-1, 2).T
+        self.minority_pos = self.offsets[member] + minority
+        self.majority_pos = self.offsets[member] + 1 - minority
+        self.plain = np.flatnonzero(distinct & ~bundled)
+        self.quantile = np.flatnonzero(~distinct & ~bundled)
+        self.n_interleaved = len(self.plain) + len(groups)
+        self.column_offsets = np.concatenate(
+            [self.offsets[self.plain], np.array(bundle_offsets, dtype=np.intp),
+             self.offsets[self.quantile]])
+        self.codes = np.ascontiguousarray(np.concatenate(
+            [self.codes_T[self.plain], bundle_codes,
+             self.codes_T[self.quantile]]).T)
 
 
 class _HistSplitter:
@@ -359,22 +421,31 @@ class _HistSplitter:
 
     A node of at least ``_PER_FEATURE_ROWS`` rows builds each quantile-binned
     feature's histogram with its own ``bincount`` over its contiguous codes.
-    Its distinct-value features, and every feature of a smaller node, go
-    through one interleaved pass: per chunk of ``_CHUNK_ROWS`` node rows, one
-    ``np.add.at`` over the row-major codes, so consecutive adds land in
-    different features' bins. A distinct-value feature often has most rows
-    in one bin, which serialises a ``bincount`` on that bin; interleaving
-    keeps adds to one bin apart. Either way each bin sums its rows' weights
-    in row order from 0.0, so both builds give the same histograms to the
-    bit. The search runs one cumsum per block and one argmax over the real
-    cuts in (feature, bin) order, so the first of equal gains wins as in a
-    row-major argmax over every feature's bins, and the best cut leaves as
-    its threshold, ``cuts[feature][bin]``. A feature's cuts are strictly
-    increasing (distinct-value midpoints lie strictly between their values,
-    quantile cuts pass ``np.unique``), so ``partition`` finds that bin again
-    with ``searchsorted`` and routes rows on their codes. Node totals are the
-    sums of feature 0's row. Children at ``max_depth`` are leaves, so they
-    get those totals alone (``child_stats``).
+    Its other columns (distinct-value features and bundles), and every column
+    of a smaller node, go through one interleaved pass: per chunk of
+    ``_CHUNK_ROWS`` node rows, one ``np.add.at`` over the row-major codes, so
+    consecutive adds land in different columns' bins. A distinct-value
+    feature often has most rows in one bin, which serialises a ``bincount``
+    on that bin; interleaving keeps adds to one bin apart. Either way each
+    bin sums its rows' weights in row order from 0.0, so both builds give
+    the same histograms to the bit. A bundle is one column of that pass
+    (``covertype_like``'s 44 one-hot columns are 2). Then each bundle
+    member's two bins are filled in: its minority bin is its bundle bin,
+    which sums the same rows in the same order, so it equals a direct build
+    to the bit; its majority bin is the node total (from feature 0's bins,
+    which is why feature 0 is never bundled) minus the minority bin, which
+    may round differently from a direct sum. ``node_hists`` returns the
+    layout's ``size`` bins, so the search and the parent-minus-sibling
+    subtraction never see bundles. The search runs one cumsum per block and
+    one argmax over the real cuts in (feature, bin) order, so the first of
+    equal gains wins as in a row-major argmax over every feature's bins, and
+    the best cut leaves as its threshold, ``cuts[feature][bin]``. A
+    feature's cuts are strictly increasing (distinct-value midpoints lie
+    strictly between their values, quantile cuts pass ``np.unique``), so
+    ``partition`` finds that bin again with ``searchsorted`` and routes rows
+    on their codes. Node totals are the sums of feature 0's row. Children at
+    ``max_depth`` are leaves, so they get those totals alone
+    (``child_stats``).
     """
 
     method = "hist"
@@ -386,23 +457,30 @@ class _HistSplitter:
     def node_hists(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
         b = self.b
         gr, hr = g[rows], h[rows]
-        gh, hh = np.zeros(b.size), np.zeros(b.size)
-        # the first k features of the row-major codes go interleaved
-        k = b.n_distinct if len(rows) >= _PER_FEATURE_ROWS else len(b.order)
-        for j in b.order[k:]:
-            node_codes = b.codes_T[j][rows]
-            lo, nb = b.offsets[j], b.n_bins[j]
-            gh[lo:lo + nb] = np.bincount(node_codes, gr, minlength=nb)
-            hh[lo:lo + nb] = np.bincount(node_codes, hr, minlength=nb)
+        gh, hh = np.zeros(b.hist_size), np.zeros(b.hist_size)
+        # the first k columns of the row-major codes go interleaved; large
+        # nodes build the quantile-binned columns one at a time
+        k = len(b.column_offsets)
+        if len(rows) >= _PER_FEATURE_ROWS:
+            k = b.n_interleaved
+            for j in b.quantile:
+                node_codes = b.codes_T[j][rows]
+                lo, nb = b.offsets[j], b.n_bins[j]
+                gh[lo:lo + nb] = np.bincount(node_codes, gr, minlength=nb)
+                hh[lo:lo + nb] = np.bincount(node_codes, hr, minlength=nb)
         if k:
-            offsets = b.offsets[b.order[:k]]
+            offsets = b.column_offsets[:k]
             for lo in range(0, len(rows), _CHUNK_ROWS):
                 hi = lo + _CHUNK_ROWS
                 flat = np.add(b.codes[rows[lo:hi], :k], offsets,
                               dtype=np.intp).ravel()
                 np.add.at(gh, flat, np.repeat(gr[lo:hi], k))
                 np.add.at(hh, flat, np.repeat(hr[lo:hi], k))
-        return gh, hh
+        for hist in (gh, hh):
+            minority = hist[b.bundle_bins]
+            hist[b.minority_pos] = minority
+            hist[b.majority_pos] = hist[b.totals_row].sum() - minority
+        return gh[:b.size], hh[:b.size]
 
     def best_split(self, stats, g: np.ndarray, h: np.ndarray):
         g_total, h_total, *hists = stats
@@ -527,6 +605,8 @@ def build_tree(features: np.ndarray, gradients: np.ndarray,
     entirely, so the result is identical to physically deleting them.
     """
     config.validate()
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
     weights = np.asarray(weights, dtype=np.float64)
     if (weights < 0).any():
         raise ValueError("weights must be non-negative")

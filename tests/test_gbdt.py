@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_lists, blob_dataset, make_dataset, threshold_dataset
-from noisygbdt import gbdt, noise
+from noisygbdt import datasets, gbdt, noise
 from noisygbdt.correct import NoiseHandler
+from noisygbdt.data_ingest import preprocess
 from noisygbdt.experiment import ExperimentConfig, prepare_data
 from noisygbdt.metrics_report import classification_metrics
 from noisygbdt.gbdt import (Binner, BoostConfig, Booster, EarlyStopper,
@@ -145,6 +146,17 @@ class TestBuildTree:
             build_tree(x, g, np.zeros(4), np.ones(4), BoostConfig(l2_reg=0.0))
         with pytest.raises(ValueError, match="l2_reg"):
             build_tree(x, g, np.ones(4), np.ones(4), BoostConfig(l2_reg=-1.0))
+
+    @pytest.mark.parametrize("n", [200, 3000], ids=["exact", "hist"])
+    def test_non_finite_features_rejected(self, n):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 3))
+        x[::7, 0] = np.nan
+        assert _splitter(x, np.arange(n), BoostConfig()).method == (
+            "exact" if n == 200 else "hist")
+        with pytest.raises(ValueError, match="finite"):
+            build_tree(x, rng.normal(size=n), np.ones(n), np.ones(n),
+                       BoostConfig(max_depth=2))
 
     def test_negative_hessians_rejected(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -578,7 +590,9 @@ class TestHistSplitterOracle:
         g, h = rng.normal(size=n) * w, (rng.random(n) + 0.05) * w
         binner = Binner(x, rows)
         assert [len(np.unique(x[rows, j])) for j in (0, 1)] == [256, 257]
-        assert binner.order.tolist() == [0, 2, 1] and binner.n_distinct == 2
+        # a lone two-valued column forms no bundle
+        assert binner.plain.tolist() == [0, 2] and binner.bundles == []
+        assert binner.quantile.tolist() == [1] and binner.n_interleaved == 2
         assert gbdt._PER_FEATURE_ROWS <= len(rows)
         assert len(rows) > gbdt._CHUNK_ROWS
         gh, hh = _HistSplitter(binner, BoostConfig()).node_hists(rows, g, h)
@@ -616,6 +630,139 @@ class TestHistSplitterOracle:
         for cuts in binner.cuts:
             assert np.array_equal(np.searchsorted(cuts, cuts),
                                   np.arange(len(cuts)))
+
+
+class TestBundles:
+    @staticmethod
+    def _case(seed, dyadic):
+        """Feature 0 is the first level of a five-level one-hot group whose
+        other levels form a bundle. A 300-level group, more than a bundle
+        holds, leaves 2% of rows with no level, and a majority-high column
+        is 0 on just those rows; together they fill two bundles. Two
+        overlapping two-valued columns, a few-valued and a wide column stay
+        plain. Gradients lean on the wide group's first 30 levels; dyadic
+        gradients with unit hessians sum exactly."""
+        rng = np.random.default_rng(seed)
+        n = 6000
+        narrow = rng.integers(0, 5, n)
+        wide = np.where(rng.random(n) < 0.02, -1, rng.integers(0, 300, n))
+        cols = ([wide == k for k in range(300)] + [wide >= 0]
+                + [narrow == k for k in range(1, 5)]
+                + [rng.random(n) < 0.3, rng.random(n) < 0.3,
+                   rng.integers(0, 10, n), rng.normal(size=n)])
+        perm = rng.permutation(len(cols))
+        x = np.column_stack([narrow == 0] + [cols[k] for k in perm]) * 1.0
+        # feature index of each column of ``cols``
+        where = np.empty(len(cols), dtype=np.intp)
+        where[perm] = np.arange(1, len(cols) + 1)
+        roles = {"wide": np.sort(where[:301]), "high": where[300],
+                 "narrow": np.sort(where[301:305]),
+                 "plain": np.sort(where[305:308]), "quantile": where[308]}
+        lean = (wide >= 0) & (wide < 30)
+        if dyadic:
+            g = rng.integers(-4, 5, size=n) / 4.0 - lean
+            h = np.ones(n)
+        else:
+            g = rng.normal(size=n) - lean
+            h = np.abs(rng.normal(size=n)) + 0.05
+        w = np.where(rng.random(n) < 0.2, 0.0, 1.0)
+        return x, g * w, h * w, np.flatnonzero(w > 0), roles
+
+    def test_exclusive_two_valued_columns_bundle(self):
+        x, g, h, rows, roles = self._case(0, dyadic=True)
+        binner = Binner(x, rows)
+        bundles = sorted((b.tolist() for b in binner.bundles), key=len)
+        wide = roles["wide"].tolist()
+        # first fit in index order: 255 members fill the first bundle
+        assert bundles == [roles["narrow"].tolist(), wide[255:], wide[:255]]
+        # feature 0 is never bundled; overlapping columns form no bundle
+        assert binner.plain.tolist() == [0, *roles["plain"].tolist()]
+        assert binner.quantile.tolist() == [roles["quantile"]]
+        assert binner.n_interleaved == 4 + 3
+        assert binner.codes.shape == (len(x), 4 + 3 + 1)
+        # the majority-high member alone has minority code 0
+        members = np.concatenate(binner.bundles)
+        low = binner.minority_pos - binner.offsets[members]
+        assert members[low == 0].tolist() == [roles["high"]]
+        assert np.array_equal(binner.majority_pos - binner.minority_pos,
+                              1 - 2 * low)
+
+    @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
+    @pytest.mark.parametrize("crossover", [0, 10**9])
+    def test_exact_sums_match_stride_256_build_and_search(self, crossover,
+                                                          chunk, monkeypatch):
+        # every bin, majority bins filled by subtraction included
+        monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
+        monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
+        x, g, h, rows, _ = self._case(1, dyadic=True)
+        binner = Binner(x, rows)
+        assert len(binner.bundles) == 3
+        splitter = _HistSplitter(binner, BoostConfig())
+        node = np.sort(np.random.default_rng(1).choice(
+            rows, size=len(rows) // 3, replace=False))
+        for r in (rows, node):
+            gh, hh = splitter.node_hists(r, g, h)
+            ref_g, ref_h = _reference_hists(binner, r, g, h)
+            assert np.array_equal(_spread(binner, gh), ref_g)
+            assert np.array_equal(_spread(binner, hh), ref_h)
+            g_total, h_total = float(g[r].sum()), float(h[r].sum())
+            got = splitter.best_split((g_total, h_total, gh, hh), g, h)
+            assert got == _reference_hist_split(binner, 1.0, ref_g, ref_h,
+                                                g_total, h_total)
+            assert got[1] in np.concatenate(binner.bundles)
+
+    @pytest.mark.parametrize("crossover", [0, 10**9])
+    def test_majority_bins_are_the_total_minus_the_minority(self, crossover,
+                                                            monkeypatch):
+        monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
+        x, g, h, rows, _ = self._case(2, dyadic=False)
+        binner = Binner(x, rows)
+        members = np.concatenate(binner.bundles)
+        others = np.setdiff1d(np.arange(x.shape[1]), members)
+        low = binner.minority_pos - binner.offsets[members]
+        splitter = _HistSplitter(binner, BoostConfig())
+        node = np.sort(np.random.default_rng(2).choice(
+            rows, size=len(rows) // 3, replace=False))
+        for r in (rows, node):
+            for hist, ref in zip(splitter.node_hists(r, g, h),
+                                 _reference_hists(binner, r, g, h)):
+                got = _spread(binner, hist)
+                assert np.array_equal(got[others], ref[others])
+                assert np.array_equal(got[members, low], ref[members, low])
+                assert np.array_equal(
+                    got[members, 1 - low],
+                    hist[binner.totals_row].sum() - got[members, low])
+
+    @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
+    def test_crossover_does_not_change_the_tree(self, chunk, monkeypatch):
+        x, g, h, rows, _ = self._case(3, dyadic=True)
+        assert len(rows) > 2 * gbdt._PER_FEATURE_ROWS
+        cfg = BoostConfig(max_depth=7)
+        members = np.concatenate(Binner(x, rows).bundles)
+        default = TestHistSplitterOracle._tree(x, g, h, rows, cfg)
+        assert set(default[0]["feature"]) & set(members.tolist())
+        monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
+        assert TestHistSplitterOracle._tree(x, g, h, rows, cfg) == default
+        for crossover in (0, 10**9):
+            monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
+            assert TestHistSplitterOracle._tree(x, g, h, rows, cfg) == default
+        assert len(default[0]["feature"]) > 31
+
+    @pytest.mark.parametrize("name", ["covertype_like", "dry_bean_like"])
+    def test_generated_one_hot_groups_bundle(self, name):
+        # covertype's soil (40) and wilderness (4) columns each form one
+        # bundle; dry_bean has no categorical column and forms none
+        table, label = datasets.load_builtin(name, n=3000, seed=0)
+        ds = preprocess(table, label)
+        binner = Binner(ds.features, np.arange(len(ds)))
+        got = sorted(sorted(ds.feature_names[j] for j in b)
+                     for b in binner.bundles)
+        groups = [sorted(f for f in ds.feature_names if f.startswith(prefix))
+                  for prefix in ("soil_type=", "wilderness_area=")]
+        if name == "covertype_like":
+            assert got == groups and list(map(len, groups)) == [40, 4]
+        else:
+            assert got == [] and groups == [[], []]
 
 
 class TestEarlyStopper:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisygbdt import correct, detect, dynamics
+from noisygbdt import correct, detect, dynamics, gbdt
 from noisygbdt.metrics_report import (RunReport, classification_metrics,
                                       detection_metrics, load_report,
                                       prediction_type_counts, tables_rows,
@@ -185,7 +185,8 @@ def public_functions(module):
                     yield f"{name}.{attr}", member
 
 
-@pytest.mark.parametrize("module", [detect, correct, dynamics],
+# the trainer feeds detection and correction, so it takes no truth either
+@pytest.mark.parametrize("module", [detect, correct, dynamics, gbdt],
                          ids=lambda m: m.__name__)
 def test_detection_and_correction_never_see_the_truth(module):
     found = list(public_functions(module))
