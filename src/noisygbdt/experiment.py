@@ -375,7 +375,11 @@ def run_group(cfg: ExperimentConfig, train_ds, test_ds, kind: str,
             report.correction = correction
             report.seed = trial_seed
             report.note = "subsampled" if cfg.subsample else ""
-            report.config = {"experiment": cfg.as_dict(),
+            # without the output directory, so a config writes the same
+            # report wherever it runs
+            experiment = cfg.as_dict()
+            del experiment["out_dir"]
+            report.config = {"experiment": experiment,
                              "training": report.config,
                              "noise_seed": noise_seed}
             report.correction_summary = handler.summary()

@@ -23,17 +23,16 @@ cuts, and its codes are stored once per run as ``uint8``, column-major and
 row-major (``Binner``). Two-valued features whose minority rows never
 overlap, such as the columns of a one-hot categorical, share one row-major
 code column, a bundle. A node histogram has one compact block per group of
-features of similar bin count. Large nodes build each quantile-binned feature
-with its own ``bincount`` and the other columns, bundles included, together
-in one interleaved pass; small nodes build every column in that pass. A
-bundle member keeps its own two bins: the minority one is its bundle's bin,
-the majority one the node total minus that. The larger child is its parent
-minus its sibling, and children at ``max_depth`` get their gradient and
-hessian sums alone (``_HistSplitter``). The splitter is built once per
-training run (``_splitter``), and one recursive function (``_fit_tree``)
-grows every tree through four of its calls: ``node_stats``, ``best_split``,
-``partition`` and ``child_stats``. A split crosses that seam as a feature
-and a threshold, whichever search found it.
+features of similar bin count, and every node builds all its code columns,
+bundles included, in one interleaved pass. A bundle member keeps its own two
+bins: the minority one is its bundle's bin, the majority one the node total
+minus that. The larger child is its parent minus its sibling, and children
+at ``max_depth`` get their gradient and hessian sums alone
+(``_HistSplitter``). The splitter is built once per training run
+(``_splitter``), and one recursive function (``_fit_tree``) grows every tree
+through four of its calls: ``node_stats``, ``best_split``, ``partition`` and
+``child_stats``. A split crosses that seam as a feature and a threshold,
+whichever search found it.
 
 Two classes train one logistic tree per round, more classes one softmax tree
 per class. Raw scores, gradients and hessians are always (n, width) arrays,
@@ -55,9 +54,6 @@ from .metrics_report import SERIES_COLUMNS, RunReport, classification_metrics
 # histogram splits above this many fitted rows, exact splits up to it
 _HIST_THRESHOLD = 2048
 _MAX_BINS = 256
-# a histogram node of this many rows or more builds one bincount per
-# quantile-binned feature; smaller nodes build every feature interleaved
-_PER_FEATURE_ROWS = 2000
 # node rows per chunk of the interleaved build
 _CHUNK_ROWS = 4096
 _HESSIAN_FLOOR = 1e-16
@@ -98,6 +94,11 @@ class BoostConfig:
             raise ValueError("n_rounds must be at least 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
+        if self.history_window < 1:
+            raise ValueError("history_window must be at least 1")
+        if with_callback and self.warmup_rounds < 1:
+            raise ValueError("warmup_rounds must be at least 1 when a "
+                             "correction callback is installed")
         if with_callback and self.warmup_rounds >= self.n_rounds:
             raise ValueError("warmup_rounds must be below n_rounds when a "
                              "correction callback is installed")
@@ -314,10 +315,9 @@ class Binner:
     lone feature forms no bundle. Feature 0 is never bundled, since node
     totals are read off its bins (``totals_row``). ``bundles`` lists each
     bundle's members. ``codes`` holds the histogram build's code columns
-    row-major (n, k): the ``plain`` distinct-value features, then the
-    bundles, then the ``quantile`` features, so a row's codes of the
-    interleaved columns (the first ``n_interleaved``) are one slice;
-    ``column_offsets`` is where each column's bins start.
+    row-major (n, k): the unbundled features in index order, then the
+    bundles, so a row's codes are one slice; ``column_offsets`` is where
+    each column's bins start.
 
     A node histogram is one flat array of ``size`` bins with a block per
     group of features whose bin counts round up to the same power of two:
@@ -337,11 +337,9 @@ class Binner:
         n, d = features.shape
         sample = features[fit_rows]
         self.cuts: list[np.ndarray] = []
-        distinct = np.zeros(d, dtype=bool)
         for j in range(d):
             uniq = np.unique(sample[:, j])
-            distinct[j] = len(uniq) <= _MAX_BINS
-            if distinct[j]:
+            if len(uniq) <= _MAX_BINS:
                 cuts = np.array([_midpoint(float(a), float(b))
                                  for a, b in zip(uniq[:-1], uniq[1:])])
             else:
@@ -405,47 +403,40 @@ class Binner:
                                     dtype=np.intp).reshape(-1, 2).T
         self.minority_pos = self.offsets[member] + minority
         self.majority_pos = self.offsets[member] + 1 - minority
-        self.plain = np.flatnonzero(distinct & ~bundled)
-        self.quantile = np.flatnonzero(~distinct & ~bundled)
-        self.n_interleaved = len(self.plain) + len(groups)
         self.column_offsets = np.concatenate(
-            [self.offsets[self.plain], np.array(bundle_offsets, dtype=np.intp),
-             self.offsets[self.quantile]])
-        self.codes = np.ascontiguousarray(np.concatenate(
-            [self.codes_T[self.plain], bundle_codes,
-             self.codes_T[self.quantile]]).T)
+            [self.offsets[~bundled], np.array(bundle_offsets, dtype=np.intp)])
+        self.codes = np.ascontiguousarray(
+            np.concatenate([self.codes_T[~bundled], bundle_codes]).T)
 
 
 class _HistSplitter:
     """Histogram split search on a Binner's codes and layout.
 
-    A node of at least ``_PER_FEATURE_ROWS`` rows builds each quantile-binned
-    feature's histogram with its own ``bincount`` over its contiguous codes.
-    Its other columns (distinct-value features and bundles), and every column
-    of a smaller node, go through one interleaved pass: per chunk of
-    ``_CHUNK_ROWS`` node rows, one ``np.add.at`` over the row-major codes, so
-    consecutive adds land in different columns' bins. A distinct-value
-    feature often has most rows in one bin, which serialises a ``bincount``
-    on that bin; interleaving keeps adds to one bin apart. Either way each
-    bin sums its rows' weights in row order from 0.0, so both builds give
-    the same histograms to the bit. A bundle is one column of that pass
-    (``covertype_like``'s 44 one-hot columns are 2). Then each bundle
-    member's two bins are filled in: its minority bin is its bundle bin,
-    which sums the same rows in the same order, so it equals a direct build
-    to the bit; its majority bin is the node total (from feature 0's bins,
-    which is why feature 0 is never bundled) minus the minority bin, which
-    may round differently from a direct sum. ``node_hists`` returns the
-    layout's ``size`` bins, so the search and the parent-minus-sibling
-    subtraction never see bundles. The search runs one cumsum per block and
-    one argmax over the real cuts in (feature, bin) order, so the first of
-    equal gains wins as in a row-major argmax over every feature's bins, and
-    the best cut leaves as its threshold, ``cuts[feature][bin]``. A
-    feature's cuts are strictly increasing (distinct-value midpoints lie
-    strictly between their values, quantile cuts pass ``np.unique``), so
-    ``partition`` finds that bin again with ``searchsorted`` and routes rows
-    on their codes. Node totals are the sums of feature 0's row. Children at
-    ``max_depth`` are leaves, so they get those totals alone
-    (``child_stats``).
+    A node builds every code column, features and bundles alike, in one
+    interleaved pass: per chunk of ``_CHUNK_ROWS`` node rows, one
+    ``np.add.at`` over the row-major codes, so consecutive adds land in
+    different columns' bins. A distinct-value feature often has most rows in
+    one bin, which serialises a ``bincount`` on that bin; interleaving keeps
+    adds to one bin apart, and chunking bounds the index and weight
+    temporaries. Each bin sums its rows' weights in row order from 0.0, as a
+    per-feature ``bincount`` does, so the two give the same histograms to
+    the bit. A bundle is one column of that pass (``covertype_like``'s 44
+    one-hot columns are 2). Then each bundle member's two bins are filled
+    in: its minority bin is its bundle bin, which sums the same rows in the
+    same order, so it equals a direct build to the bit; its majority bin is
+    the node total (from feature 0's bins, which is why feature 0 is never
+    bundled) minus the minority bin, which may round differently from a
+    direct sum. ``node_hists`` returns the layout's ``size`` bins, so the
+    search and the parent-minus-sibling subtraction never see bundles. The
+    search runs one cumsum per block and one argmax over the real cuts in
+    (feature, bin) order, so the first of equal gains wins as in a row-major
+    argmax over every feature's bins, and the best cut leaves as its
+    threshold, ``cuts[feature][bin]``. A feature's cuts are strictly
+    increasing (distinct-value midpoints lie strictly between their values,
+    quantile cuts pass ``np.unique``), so ``partition`` finds that bin again
+    with ``searchsorted`` and routes rows on their codes. Node totals are the
+    sums of feature 0's row. Children at ``max_depth`` are leaves, so they
+    get those totals alone (``child_stats``).
     """
 
     method = "hist"
@@ -458,24 +449,13 @@ class _HistSplitter:
         b = self.b
         gr, hr = g[rows], h[rows]
         gh, hh = np.zeros(b.hist_size), np.zeros(b.hist_size)
-        # the first k columns of the row-major codes go interleaved; large
-        # nodes build the quantile-binned columns one at a time
         k = len(b.column_offsets)
-        if len(rows) >= _PER_FEATURE_ROWS:
-            k = b.n_interleaved
-            for j in b.quantile:
-                node_codes = b.codes_T[j][rows]
-                lo, nb = b.offsets[j], b.n_bins[j]
-                gh[lo:lo + nb] = np.bincount(node_codes, gr, minlength=nb)
-                hh[lo:lo + nb] = np.bincount(node_codes, hr, minlength=nb)
-        if k:
-            offsets = b.column_offsets[:k]
-            for lo in range(0, len(rows), _CHUNK_ROWS):
-                hi = lo + _CHUNK_ROWS
-                flat = np.add(b.codes[rows[lo:hi], :k], offsets,
-                              dtype=np.intp).ravel()
-                np.add.at(gh, flat, np.repeat(gr[lo:hi], k))
-                np.add.at(hh, flat, np.repeat(hr[lo:hi], k))
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            flat = np.add(b.codes[rows[lo:hi]], b.column_offsets,
+                          dtype=np.intp).ravel()
+            np.add.at(gh, flat, np.repeat(gr[lo:hi], k))
+            np.add.at(hh, flat, np.repeat(hr[lo:hi], k))
         for hist in (gh, hh):
             minority = hist[b.bundle_bins]
             hist[b.minority_pos] = minority

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -96,6 +97,12 @@ class TestConfig:
          "^detectors lists 'lrt' twice$"),
         ({"corrections": ["remove", "remove"]},
          "^corrections lists 'remove' twice$"),
+        # a correction callback scores recorded rounds, and the detectors
+        # read a window of at least one round
+        ({"boost": {"n_rounds": 17, "warmup_rounds": 0}},
+         "^warmup_rounds must be at least 1 "),
+        ({"boost": {"n_rounds": 17, "history_window": 0}},
+         "^history_window must be at least 1$"),
     ])
     def test_cell_errors_caught_at_load(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -219,6 +226,20 @@ class TestStages:
         strip = lambda rows: [{k: v for k, v in r.items() if k != "dataset"}
                               for r in rows]
         assert strip(t1["classification"]) == strip(t2["classification"])
+
+    def test_report_bytes_do_not_depend_on_the_output_directory(self,
+                                                                tmp_path):
+        texts = []
+        for out in (tmp_path / "a", tmp_path / "a_longer_directory_name"):
+            cfg = tiny_config(out, noise_rates=(0.3,), detectors=("lrt",),
+                              corrections=("remove",))
+            run_stage2(cfg)
+            paths = sorted((out / "runs").glob("**/report.json"))
+            assert len(paths) == 2
+            texts.append([re.sub(r'"created_at": "[^"]*"', '"created_at": ""',
+                                 p.read_text()) for p in paths])
+        assert texts[0] == texts[1]
+        assert "out_dir" not in texts[0][0]
 
     def test_detector_order_does_not_change_cells(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a", noise_rates=(0.3,),
@@ -742,7 +763,9 @@ class TestCli:
     @pytest.mark.parametrize("overrides", [
         {"boost": {"n_round": 10}}, {"split": {"test_frac": 0.3}},
         {"boost": 5}, {"noise_rates": 0.3}, {"boost": {"n_rounds": "30"}},
-        {"subsample": 0}, {"noise_rates": [0.3, 0.301]}, {"jobs": -4}])
+        {"subsample": 0}, {"noise_rates": [0.3, 0.301]}, {"jobs": -4},
+        {"boost": {"n_rounds": 17, "warmup_rounds": 0}},
+        {"boost": {"n_rounds": 17, "history_window": 0}}])
     def test_print_config_rejects_bad_sections(self, tmp_path, overrides):
         cfg = self.write_cfg(tmp_path, **overrides)
         proc = run_cli(["run", "--config", str(cfg), "--print-config"])

@@ -479,10 +479,7 @@ class TestHistSplitterOracle:
         return x, g * w, h * w, rows
 
     @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
-    @pytest.mark.parametrize("crossover", [0, 10**9])
-    def test_matches_stride_256_build_and_search(self, crossover, chunk,
-                                                 monkeypatch):
-        monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
+    def test_matches_stride_256_build_and_search(self, chunk, monkeypatch):
         monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
         ties = splits = 0
         for seed in range(60):
@@ -558,26 +555,23 @@ class TestHistSplitterOracle:
         return as_lists(tree), leaf_of_row.tolist()
 
     @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
-    def test_crossover_does_not_change_the_tree(self, chunk, monkeypatch):
-        # nodes from several thousand rows down to a few: quantile features
-        # per feature or interleaved, in chunks of any size, give one tree
+    def test_chunk_size_does_not_change_the_tree(self, chunk, monkeypatch):
+        # nodes from several thousand rows down to a few, built in chunks of
+        # any size, give one tree
         x, g, h, rows = self._case(3)
         x, g, h = np.vstack([x] * 3), np.tile(g, 3), np.tile(h, 3)
         rows = np.flatnonzero(h > 0)
-        assert len(rows) > 2 * gbdt._PER_FEATURE_ROWS
+        assert len(rows) > gbdt._CHUNK_ROWS
         cfg = BoostConfig(max_depth=7)
         default = self._tree(x, g, h, rows, cfg)
         monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
         assert self._tree(x, g, h, rows, cfg) == default
-        for crossover in (0, 10**9):
-            monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
-            assert self._tree(x, g, h, rows, cfg) == default
         assert len(default[0]["feature"]) > 31
 
     def test_distinct_value_boundary_matches_reference(self):
-        # 256 distinct fitted values are cut at every value and built
-        # interleaved, 257 are cut at quantiles and built per feature; a
-        # one-hot column puts nearly every row in one bin
+        # 256 distinct fitted values are cut at every value, 257 at
+        # quantiles, and both are built in the interleaved pass over more
+        # than one chunk; a one-hot column puts nearly every row in one bin
         rng = np.random.default_rng(11)
         n = 6000
         w = np.where(rng.random(n) < 0.2, 0.0, 1.0)
@@ -590,10 +584,11 @@ class TestHistSplitterOracle:
         g, h = rng.normal(size=n) * w, (rng.random(n) + 0.05) * w
         binner = Binner(x, rows)
         assert [len(np.unique(x[rows, j])) for j in (0, 1)] == [256, 257]
-        # a lone two-valued column forms no bundle
-        assert binner.plain.tolist() == [0, 2] and binner.bundles == []
-        assert binner.quantile.tolist() == [1] and binner.n_interleaved == 2
-        assert gbdt._PER_FEATURE_ROWS <= len(rows)
+        # a lone two-valued column forms no bundle: one code column per
+        # feature, in index order
+        assert binner.bundles == []
+        assert np.array_equal(binner.codes, binner.codes_T.T)
+        assert np.array_equal(binner.column_offsets, binner.offsets)
         assert len(rows) > gbdt._CHUNK_ROWS
         gh, hh = _HistSplitter(binner, BoostConfig()).node_hists(rows, g, h)
         ref_g, ref_h = _reference_hists(binner, rows, g, h)
@@ -675,24 +670,36 @@ class TestBundles:
         wide = roles["wide"].tolist()
         # first fit in index order: 255 members fill the first bundle
         assert bundles == [roles["narrow"].tolist(), wide[255:], wide[:255]]
-        # feature 0 is never bundled; overlapping columns form no bundle
-        assert binner.plain.tolist() == [0, *roles["plain"].tolist()]
-        assert binner.quantile.tolist() == [roles["quantile"]]
-        assert binner.n_interleaved == 4 + 3
-        assert binner.codes.shape == (len(x), 4 + 3 + 1)
+        # feature 0 is never bundled; overlapping columns form no bundle.
+        # The code columns are the unbundled features in index order, then
+        # one per bundle, whose bins start past the layout's ``size``
+        unbundled = sorted([0, *roles["plain"], roles["quantile"]])
+        starts = binner.size + np.cumsum(
+            [0, *[len(b) + 1 for b in binner.bundles[:-1]]])
+        assert binner.codes.shape == (len(x), 5 + 3)
+        assert np.array_equal(binner.codes[:, :5],
+                              binner.codes_T[unbundled].T)
+        assert np.array_equal(binner.column_offsets,
+                              [*binner.offsets[unbundled], *starts])
         # the majority-high member alone has minority code 0
         members = np.concatenate(binner.bundles)
         low = binner.minority_pos - binner.offsets[members]
         assert members[low == 0].tolist() == [roles["high"]]
         assert np.array_equal(binner.majority_pos - binner.minority_pos,
                               1 - 2 * low)
+        # a bundle's code is r on the rows where its member r is at its
+        # minority code, 0 elsewhere
+        minority = dict(zip(members.tolist(), low.tolist()))
+        for bundle, code in zip(binner.bundles, binner.codes[:, 5:].T):
+            expected = np.zeros(len(x), dtype=np.uint8)
+            for r, j in enumerate(bundle, 1):
+                expected[binner.codes_T[j] == minority[j]] = r
+            assert np.array_equal(code, expected)
 
     @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
-    @pytest.mark.parametrize("crossover", [0, 10**9])
-    def test_exact_sums_match_stride_256_build_and_search(self, crossover,
-                                                          chunk, monkeypatch):
+    def test_exact_sums_match_stride_256_build_and_search(self, chunk,
+                                                          monkeypatch):
         # every bin, majority bins filled by subtraction included
-        monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
         monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
         x, g, h, rows, _ = self._case(1, dyadic=True)
         binner = Binner(x, rows)
@@ -711,10 +718,7 @@ class TestBundles:
                                                 g_total, h_total)
             assert got[1] in np.concatenate(binner.bundles)
 
-    @pytest.mark.parametrize("crossover", [0, 10**9])
-    def test_majority_bins_are_the_total_minus_the_minority(self, crossover,
-                                                            monkeypatch):
-        monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
+    def test_majority_bins_are_the_total_minus_the_minority(self):
         x, g, h, rows, _ = self._case(2, dyadic=False)
         binner = Binner(x, rows)
         members = np.concatenate(binner.bundles)
@@ -734,18 +738,15 @@ class TestBundles:
                     hist[binner.totals_row].sum() - got[members, low])
 
     @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
-    def test_crossover_does_not_change_the_tree(self, chunk, monkeypatch):
+    def test_chunk_size_does_not_change_the_tree(self, chunk, monkeypatch):
         x, g, h, rows, _ = self._case(3, dyadic=True)
-        assert len(rows) > 2 * gbdt._PER_FEATURE_ROWS
+        assert len(rows) > gbdt._CHUNK_ROWS
         cfg = BoostConfig(max_depth=7)
         members = np.concatenate(Binner(x, rows).bundles)
         default = TestHistSplitterOracle._tree(x, g, h, rows, cfg)
         assert set(default[0]["feature"]) & set(members.tolist())
         monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
         assert TestHistSplitterOracle._tree(x, g, h, rows, cfg) == default
-        for crossover in (0, 10**9):
-            monkeypatch.setattr(gbdt, "_PER_FEATURE_ROWS", crossover)
-            assert TestHistSplitterOracle._tree(x, g, h, rows, cfg) == default
         assert len(default[0]["feature"]) > 31
 
     @pytest.mark.parametrize("name", ["covertype_like", "dry_bean_like"])
