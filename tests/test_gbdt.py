@@ -479,10 +479,14 @@ class TestHistSplitterOracle:
         return x, g * w, h * w, rows
 
     @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
-    def test_matches_stride_256_build_and_search(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("first_seed", [0, 10**9])
+    def test_matches_stride_256_build_and_search(self, first_seed, chunk,
+                                                 monkeypatch):
+        # two disjoint runs of 60 random cases; ``first_seed`` is even, so
+        # half of each run has dyadic gradients
         monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
         ties = splits = 0
-        for seed in range(60):
+        for seed in range(first_seed, first_seed + 60):
             x, g, h, rows = self._case(seed)
             binner = Binner(x, rows)
             splitter = _HistSplitter(binner, BoostConfig())
@@ -697,15 +701,17 @@ class TestBundles:
             assert np.array_equal(code, expected)
 
     @pytest.mark.parametrize("chunk", [1, 97, gbdt._CHUNK_ROWS])
-    def test_exact_sums_match_stride_256_build_and_search(self, chunk,
-                                                          monkeypatch):
-        # every bin, majority bins filled by subtraction included
+    @pytest.mark.parametrize("first_seed", [0, 10**9])
+    def test_exact_sums_match_stride_256_build_and_search(self, first_seed,
+                                                          chunk, monkeypatch):
+        # every bin, majority bins filled by subtraction included, on two
+        # random cases
         monkeypatch.setattr(gbdt, "_CHUNK_ROWS", chunk)
-        x, g, h, rows, _ = self._case(1, dyadic=True)
+        x, g, h, rows, _ = self._case(first_seed + 1, dyadic=True)
         binner = Binner(x, rows)
         assert len(binner.bundles) == 3
         splitter = _HistSplitter(binner, BoostConfig())
-        node = np.sort(np.random.default_rng(1).choice(
+        node = np.sort(np.random.default_rng(first_seed + 1).choice(
             rows, size=len(rows) // 3, replace=False))
         for r in (rows, node):
             gh, hh = splitter.node_hists(r, g, h)
@@ -718,14 +724,15 @@ class TestBundles:
                                                 g_total, h_total)
             assert got[1] in np.concatenate(binner.bundles)
 
-    def test_majority_bins_are_the_total_minus_the_minority(self):
-        x, g, h, rows, _ = self._case(2, dyadic=False)
+    @pytest.mark.parametrize("first_seed", [0, 10**9])
+    def test_majority_bins_are_the_total_minus_the_minority(self, first_seed):
+        x, g, h, rows, _ = self._case(first_seed + 2, dyadic=False)
         binner = Binner(x, rows)
         members = np.concatenate(binner.bundles)
         others = np.setdiff1d(np.arange(x.shape[1]), members)
         low = binner.minority_pos - binner.offsets[members]
         splitter = _HistSplitter(binner, BoostConfig())
-        node = np.sort(np.random.default_rng(2).choice(
+        node = np.sort(np.random.default_rng(first_seed + 2).choice(
             rows, size=len(rows) // 3, replace=False))
         for r in (rows, node):
             for hist, ref in zip(splitter.node_hists(r, g, h),
