@@ -180,7 +180,16 @@ def leaf_value(g_sum: float, h_sum: float, l2_reg: float,
 @dataclass
 class Tree:
     """Flat-array binary tree; leaves carry the boosted step already scaled by
-    the learning rate. Routing predicate: feature value <= threshold goes left."""
+    the learning rate. Routing predicate: feature value <= threshold goes left,
+    so a NaN goes right.
+
+    ``predict`` routes all rows one level at a time through a table built
+    from these arrays on each call: a (node, goes right) child table in which
+    every leaf is its own child. Each level takes, as whole arrays, every
+    row's feature value at ``row * d + feature[node]`` of the C-contiguous
+    features, its node's threshold and its child; there is no per-level
+    compaction. Routing stops once no row sits on an internal node.
+    """
 
     feature: np.ndarray     # int32, -1 marks a leaf
     threshold: np.ndarray   # float64
@@ -189,17 +198,21 @@ class Tree:
     value: np.ndarray       # float64 leaf values (0 on internal nodes)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        node = np.zeros(features.shape[0], dtype=np.int32)
-        while True:
-            feat = self.feature[node]
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
-                break
-            f = feat[active]
-            go_left = features[active, f] <= self.threshold[node[active]]
-            node[active] = np.where(go_left, self.left[node[active]],
-                                    self.right[node[active]])
-        return self.value[node]
+        x = np.ascontiguousarray(features)
+        n, d = x.shape
+        internal = self.feature >= 0
+        # child of (node, goes right) at 2 * node + goes right
+        child = np.where(internal[:, None],
+                         np.stack([self.left, self.right], axis=1),
+                         np.arange(len(internal))[:, None]).ravel()
+        feature = np.where(internal, self.feature, 0)
+        flat, start = x.ravel(), np.arange(n) * d
+        node = np.zeros(n, dtype=np.intp)
+        while internal.take(node).any():
+            value = flat.take(start + feature.take(node))
+            right = ~(value <= self.threshold.take(node))
+            node = child.take(2 * node + right)
+        return self.value.take(node)
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -414,15 +427,16 @@ class _HistSplitter:
 
     A node builds every code column, features and bundles alike, in one
     interleaved pass: per chunk of ``_CHUNK_ROWS`` node rows, one
-    ``np.add.at`` over the row-major codes, so consecutive adds land in
-    different columns' bins. A distinct-value feature often has most rows in
-    one bin, which serialises a ``bincount`` on that bin; interleaving keeps
-    adds to one bin apart, and chunking bounds the index and weight
-    temporaries. Each bin sums its rows' weights in row order from 0.0, as a
-    per-feature ``bincount`` does, so the two give the same histograms to
-    the bit. A bundle is one column of that pass (``covertype_like``'s 44
-    one-hot columns are 2). Then each bundle member's two bins are filled
-    in: its minority bin is its bundle bin, which sums the same rows in the
+    ``np.add.at`` of complex gradient-and-hessian weights over the row-major
+    codes (``node_hists``), so consecutive adds land in different columns'
+    bins. A distinct-value feature often has most rows in one bin, which
+    serialises a ``bincount`` on that bin; interleaving keeps adds to one
+    bin apart, and chunking bounds the index and weight temporaries. Each
+    bin sums its rows' weights in row order from 0.0, as a per-feature
+    ``bincount`` does, so the two give the same histograms to the bit. A
+    bundle is one column of that pass (``covertype_like``'s 44 one-hot
+    columns are 2). Then each bundle member's two bins are filled in: its
+    minority bin is its bundle bin, which sums the same rows in the
     same order, so it equals a direct build to the bit; its majority bin is
     the node total (from feature 0's bins, which is why feature 0 is never
     bundled) minus the minority bin, which may round differently from a
@@ -446,16 +460,25 @@ class _HistSplitter:
         self.lam = config.l2_reg
 
     def node_hists(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
+        """The node's gradient and hessian histograms, ``size`` bins each.
+
+        Both are accumulated at once as the complex weights ``g + i h``: one
+        ``np.add.at`` per chunk adds real and imaginary parts separately, so
+        each part sums exactly as a float64 build would. The parts are split
+        into float64 arrays before the bundle fill, so the node total stays a
+        float64 pairwise sum over ``totals_row``.
+        """
         b = self.b
-        gr, hr = g[rows], h[rows]
-        gh, hh = np.zeros(b.hist_size), np.zeros(b.hist_size)
+        w = np.empty(len(rows), dtype=np.complex128)
+        w.real, w.imag = g[rows], h[rows]
+        acc = np.zeros(b.hist_size, dtype=np.complex128)
         k = len(b.column_offsets)
         for lo in range(0, len(rows), _CHUNK_ROWS):
             hi = lo + _CHUNK_ROWS
             flat = np.add(b.codes[rows[lo:hi]], b.column_offsets,
                           dtype=np.intp).ravel()
-            np.add.at(gh, flat, np.repeat(gr[lo:hi], k))
-            np.add.at(hh, flat, np.repeat(hr[lo:hi], k))
+            np.add.at(acc, flat, np.repeat(w[lo:hi], k))
+        gh, hh = acc.real.copy(), acc.imag.copy()
         for hist in (gh, hh):
             minority = hist[b.bundle_bins]
             hist[b.minority_pos] = minority
@@ -711,12 +734,16 @@ class Booster:
             self.mon_features, self.mon_labels = map(np.asarray, monitor)
             if len(self.mon_features) != len(self.mon_labels):
                 raise ValueError("the monitor pair's lengths differ")
+            if ((self.mon_labels < 0) | (self.mon_labels >= c)).any():
+                raise ValueError(f"monitor labels must lie in [0, {c})")
             held_out["monitor"] = self.mon_features
             self.raw_mon = np.zeros((len(self.mon_labels), self.width))
         for name, x in held_out.items():
             if x.ndim != 2 or x.shape[1] != features.shape[1]:
                 raise ValueError(f"{name} feature width does not match the "
                                  f"trained width {features.shape[1]}")
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} features must be finite")
         self.stopper = (EarlyStopper(config.early_stop_min_delta,
                                      config.early_stop_patience)
                         if monitor is not None else None)

@@ -13,7 +13,7 @@ from noisygbdt.data_ingest import preprocess
 from noisygbdt.experiment import ExperimentConfig, prepare_data
 from noisygbdt.metrics_report import classification_metrics
 from noisygbdt.gbdt import (Binner, BoostConfig, Booster, EarlyStopper,
-                            TrainingDivergedError, _ExactSplitter,
+                            TrainingDivergedError, Tree, _ExactSplitter,
                             _HistSplitter, _fit_tree, _midpoint, _split_gains,
                             _splitter, build_tree, grad_hess, leaf_value,
                             probabilities, train)
@@ -1087,6 +1087,104 @@ class TestBooster:
             booster.step()
 
 
+def _reference_predict(tree, features):
+    """Per-level routing by compaction: each level gathers the rows still on
+    an internal node and moves them to a child (value <= threshold goes
+    left)."""
+    node = np.zeros(features.shape[0], dtype=np.int32)
+    while True:
+        feat = tree.feature[node]
+        active = np.flatnonzero(feat >= 0)
+        if active.size == 0:
+            break
+        go_left = (features[active, feat[active]]
+                   <= tree.threshold[node[active]])
+        node[active] = np.where(go_left, tree.left[node[active]],
+                                tree.right[node[active]])
+    return tree.value[node]
+
+
+def _random_tree(rng, x, max_depth):
+    """A tree of at most ``max_depth`` levels whose branches stop at random
+    depths, each threshold one of its feature's values in ``x``."""
+    nodes = []   # [feature, threshold, left, right, value] per node
+
+    def grow(depth):
+        idx = len(nodes)
+        node = [-1, 0.0, -1, -1, float(rng.normal())]
+        nodes.append(node)
+        if depth < max_depth and (depth == 0 or rng.random() < 0.7):
+            f = int(rng.integers(x.shape[1]))
+            threshold = (float(rng.choice(x[:, f])) if len(x)
+                         else float(rng.integers(4)))
+            node[:] = [f, threshold, grow(depth + 1), grow(depth + 1), 0.0]
+        return idx
+
+    grow(0)
+    feature, threshold, left, right, value = zip(*nodes)
+    return Tree(feature=np.asarray(feature, dtype=np.int32),
+                threshold=np.asarray(threshold, dtype=np.float64),
+                left=np.asarray(left, dtype=np.int32),
+                right=np.asarray(right, dtype=np.int32),
+                value=np.asarray(value, dtype=np.float64))
+
+
+def _stump(threshold, left=-1.0, right=1.0):
+    return Tree(feature=np.array([0, -1, -1], dtype=np.int32),
+                threshold=np.array([threshold, 0.0, 0.0]),
+                left=np.array([1, -1, -1], dtype=np.int32),
+                right=np.array([2, -1, -1], dtype=np.int32),
+                value=np.array([0.0, left, right]))
+
+
+class TestTreePredict:
+    """``Tree.predict`` routes every row to the leaf the per-level
+    compaction reaches, bit for bit, whatever the input's memory layout."""
+
+    @pytest.mark.properties
+    @given(seed=st.integers(min_value=0, max_value=2**31),
+           max_depth=st.integers(min_value=0, max_value=6),
+           n=st.integers(min_value=0, max_value=80),
+           d=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_level_routing(self, seed, max_depth, n, d):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so rows often equal their node's threshold
+        x = rng.integers(0, 4, size=(n, d)) + rng.choice(
+            [0.0, 0.5], size=(n, d))
+        tree = _random_tree(rng, x, max_depth)
+        wide = np.zeros((2 * n, d + 1))
+        wide[::2, 1:] = x
+        layouts = {"C": x, "sliced": wide[::2, 1:],
+                   "Fortran": np.asfortranarray(x)}
+        expected = _reference_predict(tree, x)
+        for name, features in layouts.items():
+            got = tree.predict(features)
+            assert got.dtype == np.float64 and got.shape == (n,), name
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_value_equal_to_the_threshold_goes_left(self):
+        tree = _stump(0.5)
+        x = np.array([[0.5], [np.nextafter(0.5, 1.0)], [0.25]])
+        assert tree.predict(x).tolist() == [-1.0, 1.0, -1.0]
+
+    def test_nan_goes_right(self):
+        x = np.array([[np.nan], [0.0], [1.0]])
+        assert _stump(0.0).predict(x).tolist() == [1.0, -1.0, 1.0]
+        assert _reference_predict(_stump(0.0), x).tolist() == [1.0, -1.0, 1.0]
+
+    def test_zero_rows_and_zero_columns(self):
+        leaf = Tree(feature=np.array([-1], dtype=np.int32),
+                    threshold=np.zeros(1), left=np.array([-1], dtype=np.int32),
+                    right=np.array([-1], dtype=np.int32),
+                    value=np.array([0.25]))
+        assert leaf.predict(np.empty((3, 0))).tolist() == [0.25] * 3
+        assert leaf.predict(np.empty((0, 0))).shape == (0,)
+        assert leaf.predict(np.ones((2, 4))).tolist() == [0.25] * 2
+        empty = _stump(0.0).predict(np.empty((0, 3)))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
 class TestPredictAndSerialize:
     """Held-out inputs are checked against the fit set when a run starts."""
 
@@ -1119,3 +1217,28 @@ class TestPredictAndSerialize:
     def test_monitor_test_without_a_test_set_errors(self, blobs):
         with pytest.raises(ValueError, match="monitor must be"):
             train(blobs, BoostConfig(n_rounds=2), monitor="test")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_test_features_rejected(self, blobs, value):
+        test = blobs.take(np.arange(20))
+        test.features[3, 1] = value
+        with pytest.raises(ValueError, match="test features must be finite"):
+            Booster(blobs, BoostConfig(n_rounds=2), test=test)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_monitor_features_rejected(self, blobs, value):
+        features = blobs.features[:20].copy()
+        features[5, 0] = value
+        with pytest.raises(ValueError,
+                           match="monitor features must be finite"):
+            Booster(blobs, BoostConfig(n_rounds=2),
+                    monitor=(features, blobs.clean_labels[:20]))
+
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_monitor_labels_out_of_range_rejected(self, blobs, bad):
+        labels = blobs.clean_labels[:20].copy()
+        labels[4] = bad
+        with pytest.raises(ValueError, match=r"monitor labels must lie in "
+                                             r"\[0, 3\)"):
+            Booster(blobs, BoostConfig(n_rounds=2),
+                    monitor=(blobs.features[:20], labels))
